@@ -26,13 +26,9 @@
 #   make serve-smoke  simulation-service lane: boot a real `repro
 #                 serve` daemon, submit the reference sweep, assert the
 #                 response byte-identical to the local execution path,
-#                 warm resubmission from cache, SIGTERM drain with no
-#                 orphaned pool workers (the CI serve-smoke lane)
-#   make codegen-lockstep  specialized-engine differential lane: the
-#                 full lockstep + forced-deopt + codegen unit suites
-#                 under REPRO_CODEGEN=1, dumping every generated source
-#                 to $(CODEGEN_DUMP_DIR) (the CI lane uploads that
-#                 directory as the failure artifact)
+#                 warm resubmission from cache, SIGTERM and wire
+#                 drains with no orphaned pool workers (the CI
+#                 serve-smoke lane)
 #   make ci       what the GitHub Actions workflow runs: tier-1 suite +
 #                 a smoke `figures` sweep (tiny scale, 2 workers)
 #
@@ -44,11 +40,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-#: Where `make codegen-lockstep` dumps the generated engine sources.
-CODEGEN_DUMP_DIR ?= benchmarks/output/codegen-src
-
 .PHONY: test cov bench bench-throughput figures ci lint perf-gate chaos \
-	chaos-remote serve-smoke cache-smoke codegen-lockstep
+	chaos-remote serve-smoke cache-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,15 +65,6 @@ cache-smoke:
 		tests/runner/test_split_properties.py \
 		tests/service/test_frame_cache.py \
 		tests/integration/test_cli.py::test_cache_stats_and_prune
-
-codegen-lockstep:
-	REPRO_CODEGEN=1 REPRO_CODEGEN_DUMP=$(CODEGEN_DUMP_DIR) \
-		$(PYTHON) -m pytest -x -q \
-		tests/core/test_engine_options.py \
-		tests/core/test_codegen.py \
-		tests/runner/test_variant_salt.py \
-		tests/properties/test_stage_registry_lockstep.py \
-		tests/properties/test_codegen_deopt_lockstep.py
 
 lint:
 	ruff check src tests benchmarks

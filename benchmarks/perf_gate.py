@@ -4,8 +4,7 @@
 Snapshots the committed ``BENCH_000N.json`` baseline *before* the
 benchmarks overwrite it, re-runs the throughput suite
 (``RUN_BENCH=1 pytest benchmarks/test_simulator_throughput.py
-benchmarks/test_service_latency.py benchmarks/test_codegen_speedup.py
-benchmarks/test_cache_tiers.py``),
+benchmarks/test_service_latency.py benchmarks/test_cache_tiers.py``),
 then compares the fresh ``perf_gate`` reference section of
 ``BENCH_0010.json`` (written by ``test_cache_tiers``, whose gate sweep
 and single-sims run the local supervised path with no result cache in
@@ -76,7 +75,6 @@ def run_benchmarks() -> int:
     cmd = [sys.executable, "-m", "pytest",
            "benchmarks/test_simulator_throughput.py",
            "benchmarks/test_service_latency.py",
-           "benchmarks/test_codegen_speedup.py",
            "benchmarks/test_cache_tiers.py", "-q"]
     # e.g. PERF_GATE_PYTEST_ARGS="-k test_continuation_sweep_throughput"
     # narrows the run to just the test that produces the gate reference.

@@ -7,7 +7,7 @@ heuristic; the static mapping keeps serving the stale profile.
 
 from repro.core.config import get_config
 from repro.core.dynamic import run_dynamic
-from repro.core.processor import Processor
+from repro.core.engine import Processor
 from repro.metrics.tables import format_table
 from repro.trace.composite import composite_trace
 from repro.trace.stream import trace_for

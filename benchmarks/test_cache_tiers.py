@@ -50,7 +50,7 @@ from test_simulator_throughput import (
 )
 
 from repro.core.config import get_config
-from repro.core.processor import Processor, clear_warm_cache
+from repro.core.engine import Processor, clear_warm_cache
 from repro.runner import BatchRunner, JobQueue
 from repro.runner.cache import sim_result_payload
 from repro.runner.continuation import ContinuationJob, ContinuationRun

@@ -38,7 +38,7 @@ from test_simulator_throughput import (
 )
 
 from repro.core.config import get_config
-from repro.core.processor import Processor, clear_warm_cache
+from repro.core.engine import Processor, clear_warm_cache
 from repro.runner import BatchRunner, JobQueue, SimJob
 from repro.trace.stream import clear_trace_cache, trace_for
 

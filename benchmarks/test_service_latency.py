@@ -18,10 +18,9 @@ economics against a real ``repro serve`` daemon over a unix socket:
 The snapshot also carries the standard **perf-gate reference** section
 (fixed ``GATE_SCALE``, same shape and methodology as BENCH_0007's; the
 gate sweep runs the local supervised path, so it keeps measuring the
-engine, not the service).  Since PR 9 ``benchmarks/perf_gate.py`` reads
-its *fresh* gate reference from ``BENCH_0009.json``
-(``test_codegen_speedup``); this section remains the committed
-historical record.  Sections written by other benches are preserved —
+engine, not the service).  ``benchmarks/perf_gate.py`` reads its
+*fresh* gate reference from a newer snapshot; this section remains the
+committed historical record.  Sections written by other benches are preserved —
 merge, never clobber.
 """
 
@@ -45,7 +44,7 @@ from test_simulator_throughput import (
 )
 
 from repro.core.config import get_config
-from repro.core.processor import Processor, clear_warm_cache
+from repro.core.engine import Processor, clear_warm_cache
 from repro.runner import BatchRunner
 from repro.service import ServiceClient
 from repro.trace.stream import clear_trace_cache, trace_for

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.branch.perceptron import PerceptronPredictor
 from repro.core.config import get_config
-from repro.core.processor import Processor, clear_warm_cache
+from repro.core.engine import Processor, clear_warm_cache
 from repro.memory.cache import SetAssociativeCache
 from repro.trace.stream import clear_trace_cache, trace_for
 

@@ -56,7 +56,7 @@ def main() -> None:
         commit_target=args.target, trace_length=length,
     )
     # Re-run the *actual* composite workload under the frozen mapping.
-    from repro.core.processor import Processor
+    from repro.core.engine import Processor
 
     proc = Processor(config, traces, static_map, args.target)
     proc.warm()

@@ -48,7 +48,6 @@ from typing import List, Optional
 
 from repro.area.model import area_report, config_area
 from repro.core.config import STANDARD_CONFIG_NAMES
-from repro.core.engine.options import EngineOptions, set_engine_options
 from repro.core.simulation import run_workload
 from repro.experiments.performance import (
     fig4_table,
@@ -117,14 +116,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    # Engine tuning flags travel as env vars (worker processes inherit
-    # them) and through the typed EngineOptions switchboard locally.
-    if args.codegen:
-        os.environ["REPRO_CODEGEN"] = "1"
-    if args.numpy_decode:
-        os.environ["REPRO_NUMPY_DECODE"] = "1"
-    if args.codegen or args.numpy_decode:
-        set_engine_options(EngineOptions.from_env())
     scale = default_scale()
     if args.scale:
         scale = ExperimentScale().scaled(args.scale)
@@ -326,21 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the final RunReport (jobs, retries, lease reclaims, "
         "speculative re-dispatches, ...) as JSON to PATH",
-    )
-    p_fig.add_argument(
-        "--codegen",
-        action="store_true",
-        help="run the per-config specialized cycle-loop engine "
-        "(bit-identical to the generic engine, which remains the "
-        "mid-run fallback; equivalent to REPRO_CODEGEN=1, exported so "
-        "pool/queue workers inherit it)",
-    )
-    p_fig.add_argument(
-        "--numpy-decode",
-        action="store_true",
-        help="decode packed-trace blocks through numpy (equivalent to "
-        "REPRO_NUMPY_DECODE=1, exported so workers inherit it; ignored "
-        "when numpy is unavailable)",
     )
     p_fig.set_defaults(func=_cmd_figures)
 

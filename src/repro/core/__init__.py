@@ -24,7 +24,7 @@ from repro.core.mapping import (
     mapping_contexts_ok,
     canonical_mapping,
 )
-from repro.core.processor import Processor
+from repro.core.engine import Processor
 from repro.core.dynamic import DynamicMappingResult, run_dynamic, remap_threads
 from repro.core.simulation import SimResult, run_simulation, run_workload
 

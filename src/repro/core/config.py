@@ -12,19 +12,19 @@ paper (Fig. 3) are pre-registered:
 All multipipeline configurations use the L1MCOUNT fetch policy and pay
 the paper's multipipeline register-file tax (2-cycle register read/write
 instead of 1).
+
+A configuration describes only the modeled machine: every configuration,
+monolithic or not, runs on the same engine stages.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.models import PipelineModel, get_model
 from repro.memory.hierarchy import MemoryParams
-
-if TYPE_CHECKING:  # runtime import would be circular (engine -> config)
-    from repro.core.engine.options import EngineOptions
 
 __all__ = [
     "BaselineParams",
@@ -69,16 +69,6 @@ class MicroarchConfig:
     #: two extra contexts at zero area cost (§3). When true, the context
     #: limit stretches to the workload size for single-pipeline configs.
     allow_context_overcommit: bool = False
-    #: Engine tuning knobs scoped to processors built from this config
-    #: (None: the process-wide default applies; see
-    #: :mod:`repro.core.engine.options`). Excluded from equality, hash
-    #: and repr — and therefore from every cache key derived from
-    #: ``repr(config)`` — because engine options must never change
-    #: simulation results (the bit-identity contract); the result cache
-    #: salts the active engine *variant* separately and defensively.
-    engine_options: Optional[EngineOptions] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not self.pipelines:

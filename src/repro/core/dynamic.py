@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MicroarchConfig, get_config
 from repro.core.mapping import heuristic_mapping
-from repro.core.processor import Processor
+from repro.core.engine import Processor
 from repro.core.simulation import SimResult, default_trace_length
 from repro.trace.stream import Trace, trace_for
 

@@ -46,50 +46,22 @@ the next scheduled event or fetch-stall expiry instead of spinning
 ``step()`` — bit-identical to stepping (the skipped cycles are provably
 no-ops), but long memory stalls cost O(1) instead of O(latency).
 
-Package layout (one module per concern; stage variants are selected
-once at construction through the registry in
-:mod:`repro.core.engine.stages`):
+Package layout (one module per concern):
 
 * :mod:`~repro.core.engine.state` — ROB/flag/event constants and the
   per-pipeline :class:`~repro.core.engine.state.Pipeline` record;
 * :mod:`~repro.core.engine.warm` — the vectorized warm pass, the
   process-wide memo and the on-disk snapshot store;
-* :mod:`~repro.core.engine.stages` — fetch/rename/issue/writeback/commit
-  implementations plus the public stage-variant API
-  (``register_stage_variant`` / ``stage_set_for``) hosting the built-in
-  (mono, SMT) variants;
-* :mod:`~repro.core.engine.options` — the typed
-  :class:`~repro.core.engine.options.EngineOptions` tuning knobs
-  (numpy decode, codegen opt-in; env vars remain the fallback);
-* :mod:`~repro.core.engine.codegen` — per-config specialized stage and
-  cycle-loop generation (opt-in, bit-identical, deopts to the generic
-  engine on rare paths);
+* :mod:`~repro.core.engine.stages` — the fetch/rename/issue/writeback/
+  commit stages, one implementation each, and the
+  :class:`~repro.core.engine.stages.StageSet` a processor binds;
 * :mod:`~repro.core.engine.engine` — the
-  :class:`~repro.core.engine.engine.Processor` shell composing a stage
-  tuple and owning the ``run()``/``step()`` scheduling loop.
-
-``repro.core.processor`` remains a compatibility shim re-exporting this
-package's public names, so existing imports (and pickled references)
-keep working unchanged.
+  :class:`~repro.core.engine.engine.Processor` shell that binds the
+  stages and owns the ``run()``/``step()`` scheduling loop.
 """
 
 from repro.core.engine.engine import Processor
-from repro.core.engine.options import (
-    EngineOptions,
-    default_engine_options,
-    engine_options_for,
-    engine_variant_id,
-    set_engine_options,
-)
-from repro.core.engine.stages import (
-    STAGE_REGISTRY,
-    STAGE_SETS,
-    StageSet,
-    register_stage_variant,
-    registered_variants,
-    stage_set_for,
-    stage_variant_for,
-)
+from repro.core.engine.stages import StageSet, stage_set_for
 from repro.core.engine.state import (
     EV_COMPLETE,
     EV_FLUSHCHK,
@@ -118,17 +90,7 @@ __all__ = [
     "ensure_warm_snapshot",
     "warm_snapshot_path",
     "StageSet",
-    "STAGE_REGISTRY",
-    "STAGE_SETS",
-    "register_stage_variant",
-    "registered_variants",
     "stage_set_for",
-    "stage_variant_for",
-    "EngineOptions",
-    "default_engine_options",
-    "set_engine_options",
-    "engine_options_for",
-    "engine_variant_id",
     "S_FREE",
     "S_WAITING",
     "S_READY",

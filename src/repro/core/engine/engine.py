@@ -6,15 +6,12 @@ operate on (flat ROB arrays, timing wheel, per-thread front-end state),
 the ``run()``/``step()`` scheduling loop with its idle-cycle fast path,
 and the compatibility views over the flat arrays.
 
-Stage selection happens **once at construction**: a small registry
-(:func:`~repro.core.engine.stages.stage_set_for`) maps the configuration
-to a composed (fetch, issue, commit) stage tuple — monolithic
-configurations get the specialized single-pipeline variants, everything
-else the generic SMT stages — and the bound implementations are stored
-as ``_fetch_impl``/``_issue_impl``/``_commit_impl``. ``run()`` and
-``step()`` call through those attributes with no per-call ``if``
-dispatch; tests may rebind them (or ``_complete``/``_rename``) on an
-instance to splice in reference machines.
+The (fetch, issue, commit) stages come from
+:func:`~repro.core.engine.stages.stage_set_for` and are bound once at
+construction as ``_fetch_impl``/``_issue_impl``/``_commit_impl``;
+``run()`` and ``step()`` call through those attributes. Tests may rebind
+them (or ``_complete``/``_rename``) on an instance to splice in
+reference machines.
 """
 
 from __future__ import annotations
@@ -25,15 +22,9 @@ from repro.branch.unit import BranchUnit
 from repro.core.config import MicroarchConfig
 from repro.core.engine import warm as warm_module
 from repro.core.engine.stages import (
-    commit,
-    commit_mono,
     complete,
     do_flush,
-    fetch,
-    fetch_mono,
     fetch_thread,
-    issue_all,
-    issue_mono,
     issue_pipeline,
     rename,
     squash_after,
@@ -66,21 +57,13 @@ class Processor:
     """
 
     # -- stage methods (module-level functions bound via the descriptor
-    # protocol; the same objects the stage registry holds, so
-    # ``proc._commit_impl.__func__ is Processor._commit_mono`` whenever
-    # the registry selected the mono variant) -----------------------------
-    _commit = commit
-    _commit_mono = commit_mono
+    # protocol; fetch/issue/commit are bound per instance in __init__) ---
     _writeback = writeback
     _complete = complete
     _do_flush = do_flush
     _squash_after = squash_after
     _issue = issue_pipeline
-    _issue_all = issue_all
-    _issue_mono = issue_mono
     _rename = rename
-    _fetch = fetch
-    _fetch_mono = fetch_mono
     _fetch_thread = fetch_thread
 
     # -- warm machinery (see repro.core.engine.warm) ----------------------
@@ -268,38 +251,11 @@ class Processor:
         self._commit_rotor = 0
         self._warmed = False
 
-        # --- speculation bookkeeping (codegen variant) -------------------
-        #: bumped whenever warm state is (re)loaded into a live machine;
-        #: the generated cycle loop guards on it so a warm-restore
-        #: boundary deoptimizes to the generic engine (state intact).
-        self._spec_epoch = 0
-        #: per-reason deopt counters (diagnostics only — never part of
-        #: SimResult stats, which must stay bit-identical across
-        #: variants). Populated by the codegen setup hook / first deopt.
-        self.codegen_deopts: Optional[Dict[str, int]] = None
-
         # --- stage composition -------------------------------------------
-        # The variant registry selects the stage set once, at
-        # construction (see repro.core.engine.stages): monolithic
-        # configurations (the M8 baseline — a fixed ~15% of every sweep
-        # that only responds to engine gains) run specialized
-        # single-pipeline commit/issue/fetch stages (one shared decoupling
-        # buffer, no per-thread pipeline indirection, no outer pipeline
-        # loops — provably the same work in the same order, so results
-        # are bit-identical, pinned by the golden-equivalence suite and
-        # the registry lockstep test); configurations opted into codegen
-        # get generated per-config specializations the same way.
-        # run()/step() call through the composed implementations with no
-        # per-call dispatch.
         stages = stage_set_for(config)
         self._commit_impl = stages.commit.__get__(self)
         self._fetch_impl = stages.fetch.__get__(self)
         self._issue_impl = stages.issue.__get__(self)
-        #: the cycle loop run() drives: the generic one unless a variant's
-        #: setup hook installs a specialized replacement.
-        self._run_impl = self._generic_run
-        if stages.setup is not None:
-            stages.setup(self)
 
     # ------------------------------------------------- compatibility views
 
@@ -373,39 +329,14 @@ class Processor:
         """Simulate until a thread reaches the commit target (or the cycle
         cap, a safety net). Returns the cycle count.
 
-        Dispatches to the composed cycle loop: the generic
-        :meth:`_generic_run` unless the variant's setup hook installed a
-        specialized one (the codegen variant's generated loop, which
-        deoptimizes back to :meth:`_generic_run` on its guard paths).
-        """
-        if max_cycles is None:
-            max_cycles = 400 * self.commit_target + 10_000
-        return self._run_impl(max_cycles)
-
-    def _codegen_deopt(self, reason: str, max_cycles: int) -> int:
-        """Abort a specialized cycle loop to the generic engine.
-
-        Guards fire only *between* cycles, where the machine state is
-        always consistent, so the generic loop resumes mid-run with
-        state intact — speculate/guard/commit, never silently
-        divergent. One-way for the rest of this run (the counters say
-        why); the next ``run()`` call re-enters the specialized loop.
-        """
-        deopts = self.codegen_deopts
-        if deopts is None:
-            deopts = self.codegen_deopts = {}
-        deopts[reason] = deopts.get(reason, 0) + 1
-        return self._generic_run(max_cycles)
-
-    def _generic_run(self, max_cycles: int) -> int:
-        """The generic scheduling loop (any configuration, any state).
-
         Idle cycles — no event due, nothing ready to issue, nothing to
         commit, rename or fetch — are skipped in O(1): the clock jumps to
         the next scheduled event or fetch-stall expiry. The jump is
         clamped to ``max_cycles`` so skipping can never overshoot the
         safety cap.
         """
+        if max_cycles is None:
+            max_cycles = 400 * self.commit_target + 10_000
         wheel = self._wheel
         mask = self._wheel_mask
         size = mask + 1

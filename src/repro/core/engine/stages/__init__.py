@@ -1,66 +1,25 @@
-"""Pipeline stages and the public stage-variant API.
+"""Pipeline stages: fetch, rename, issue, writeback and commit.
 
-:class:`~repro.core.engine.engine.Processor` composes its (fetch,
-issue, commit) stage tuple **once at construction** via
-:func:`stage_set_for` — there is no per-call ``if`` dispatch in
-``run()``/``step()``. Which tuple it gets is decided by the *variant
-registry*: each variant is registered through
-:func:`register_stage_variant` with a predicate over the configuration
-and a factory producing its :class:`StageSet`. Registered variants:
+Each stage is a module-level function taking the
+:class:`~repro.core.engine.engine.Processor` as ``self``; the processor
+binds them once at construction, so ``run()`` and ``step()`` call
+through instance attributes with no per-call dispatch.
 
-* ``"smt"`` — the generic multipipeline stages (any configuration;
-  priority 0, the always-true fallback);
-* ``"mono"`` — single-pipeline specializations (the M8 baseline): the
-  generic stages with the pipeline loop and per-thread pipeline
-  indirection collapsed. Provably the same work in the same order, so
-  results are bit-identical — pinned by the golden-equivalence suite
-  and the registry lockstep test
-  (``tests/properties/test_stage_registry_lockstep.py``);
-* ``"codegen"`` — per-config specialized stages and fused cycle loop
-  generated by :mod:`repro.core.engine.codegen` (opt-in via
-  ``EngineOptions.codegen`` / ``REPRO_CODEGEN=1``; registered lazily on
-  first demand, highest priority). Bit-identical by the same lockstep
-  contract; rare paths deoptimize to the generic engine mid-run.
-
-Adding a stage variant (e.g. a per-pipeline fetch policy, or a
-C-slow-style replicated pipeline) means one
-:func:`register_stage_variant` call::
-
-    register_stage_variant(
-        "cslow",
-        predicate=lambda cfg: cfg is not None and wants_cslow(cfg),
-        factory=lambda cfg: StageSet(
-            fetch=my_fetch, issue=my_issue, commit=my_commit,
-            name="cslow",
-        ),
-        priority=5,
-    )
-
-The factory must accept ``None`` and return a *representative* stage
-set: its stage functions populate :data:`STAGE_REGISTRY` (and
-:data:`STAGE_SETS`), which the lockstep suite parametrizes over — so a
-newly registered variant is differentially tested against the generic
-stages for free. Resolution (:func:`stage_set_for`, also exposed as
-:meth:`StageSet.resolve`) walks the registered predicates by
-descending priority and calls the first matching factory with the
-configuration.
-
-Rename and writeback have a single implementation (they are already
-pipeline-agnostic), so only fetch/issue/commit participate.
-
-``STAGE_REGISTRY`` / ``STAGE_SETS`` / :func:`stage_variant_for` predate
-this API and are kept as thin views/aliases over it.
+Fetch, issue and commit are composed into one frozen :class:`StageSet`
+that :func:`stage_set_for` returns for every configuration. A
+monolithic machine is the multipipeline one with a single pipeline, so
+one implementation of each stage serves every configuration. Rename and
+writeback are plain attributes of the processor class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.engine.options import engine_options_for
-from repro.core.engine.stages.commit import commit, commit_mono
-from repro.core.engine.stages.fetch import fetch, fetch_mono, fetch_thread
-from repro.core.engine.stages.issue import issue_all, issue_mono, issue_pipeline
+from repro.core.engine.stages.commit import commit
+from repro.core.engine.stages.fetch import fetch, fetch_thread
+from repro.core.engine.stages.issue import issue_all, issue_pipeline
 from repro.core.engine.stages.rename import rename
 from repro.core.engine.stages.writeback import (
     complete,
@@ -71,19 +30,11 @@ from repro.core.engine.stages.writeback import (
 
 __all__ = [
     "StageSet",
-    "register_stage_variant",
-    "registered_variants",
-    "STAGE_REGISTRY",
-    "STAGE_SETS",
     "stage_set_for",
-    "stage_variant_for",
     "commit",
-    "commit_mono",
     "fetch",
-    "fetch_mono",
     "fetch_thread",
     "issue_all",
-    "issue_mono",
     "issue_pipeline",
     "rename",
     "writeback",
@@ -95,130 +46,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StageSet:
-    """One composed (fetch, issue, commit) stage selection.
-
-    ``setup``, when present, runs once at the end of ``Processor.
-    __init__`` with the processor as its argument — the hook a variant
-    uses to attach per-instance machinery (the codegen variant binds
-    its compiled cycle loop there). It must not change simulation
-    semantics.
-    """
+    """The (fetch, issue, commit) stage functions a processor binds."""
 
     fetch: Callable
     issue: Callable
     commit: Callable
-    name: str = "smt"
-    setup: Optional[Callable] = field(default=None, compare=False)
-
-    @classmethod
-    def resolve(cls, config) -> "StageSet":
-        """The stage set the variant registry selects for ``config``
-        (an alias of :func:`stage_set_for`, namespaced on the type)."""
-        return stage_set_for(config)
 
 
-@dataclass(frozen=True)
-class _Variant:
-    kind: str
-    predicate: Callable
-    factory: Callable
-    priority: int
-
-
-#: Registered variants, in registration order (resolution sorts by
-#: descending priority, registration order breaking ties).
-_VARIANTS: Dict[str, _Variant] = {}
-
-#: Per-stage variant view: ``STAGE_REGISTRY[stage][variant]`` is the
-#: unbound stage function (taking the processor as ``self``) of the
-#: variant's representative set. The lockstep suite iterates this to
-#: differentially test every variant.
-STAGE_REGISTRY: Dict[str, Dict[str, Callable]] = {
-    "fetch": {},
-    "issue": {},
-    "commit": {},
-}
-
-#: Representative composed stage set per variant.
-STAGE_SETS: Dict[str, StageSet] = {}
-
-
-def register_stage_variant(
-    kind: str,
-    predicate: Callable,
-    factory: Callable,
-    *,
-    priority: int = 0,
-) -> None:
-    """Register (or replace) a stage variant.
-
-    ``predicate(config) -> bool`` decides whether the variant applies;
-    it must tolerate ``config is None`` (return False unless the
-    variant is the universal fallback). ``factory(config) -> StageSet``
-    builds the composed set; called with ``None`` it must return a
-    representative set, whose stages populate :data:`STAGE_REGISTRY` /
-    :data:`STAGE_SETS` for the lockstep suite. Higher ``priority`` wins
-    resolution; the generic SMT fallback sits at 0.
-    """
-    representative = factory(None)
-    _VARIANTS[kind] = _Variant(kind, predicate, factory, priority)
-    for stage in STAGE_REGISTRY:
-        STAGE_REGISTRY[stage][kind] = getattr(representative, stage)
-    STAGE_SETS[kind] = representative
-
-
-def registered_variants() -> tuple:
-    """Registered variant kinds, resolution order (highest priority
-    first, registration order breaking ties)."""
-    order = {kind: i for i, kind in enumerate(_VARIANTS)}
-    return tuple(
-        sorted(_VARIANTS, key=lambda kind: (-_VARIANTS[kind].priority, order[kind]))
-    )
-
-
-def _ensure_codegen_registered(config) -> None:
-    """Import-on-demand registration of the codegen variant: the
-    generator package registers itself at import, but nothing imports
-    it until a configuration actually opts in."""
-    if "codegen" not in _VARIANTS and engine_options_for(config).codegen:
-        import repro.core.engine.codegen  # noqa: F401  (registers "codegen")
-
-
-def stage_variant_for(config) -> str:
-    """The registry variant a configuration selects (once, at
-    construction): the highest-priority variant whose predicate accepts
-    the configuration — codegen when opted in, the specialized
-    single-pipeline stages for monolithic configurations, the generic
-    SMT stages otherwise."""
-    _ensure_codegen_registered(config)
-    for kind in registered_variants():
-        if _VARIANTS[kind].predicate(config):
-            return kind
-    return "smt"  # pragma: no cover - the smt predicate is always true
+_STAGES = StageSet(fetch=fetch, issue=issue_all, commit=commit)
 
 
 def stage_set_for(config) -> StageSet:
-    """The composed stage set for ``config`` (see the module docstring;
-    resolution order is by descending registration priority)."""
-    return _VARIANTS[stage_variant_for(config)].factory(config)
+    """The stage set a processor built from ``config`` binds (the same
+    one for every configuration).
 
-
-# -- built-in registrations -------------------------------------------------
-
-_SMT_SET = StageSet(fetch=fetch, issue=issue_all, commit=commit, name="smt")
-_MONO_SET = StageSet(
-    fetch=fetch_mono, issue=issue_mono, commit=commit_mono, name="mono"
-)
-
-register_stage_variant(
-    "smt",
-    predicate=lambda cfg: True,
-    factory=lambda cfg: _SMT_SET,
-    priority=0,
-)
-register_stage_variant(
-    "mono",
-    predicate=lambda cfg: cfg is not None and cfg.is_monolithic,
-    factory=lambda cfg: _MONO_SET,
-    priority=10,
-)
+    :class:`~repro.core.engine.engine.Processor` imports this function by
+    name and calls it in ``__init__``: it is the one place processors get
+    these stages from, so the benchmark's traced mode
+    (``perfbench/spans.py``) rebinds it to time fetch, issue and commit.
+    """
+    return _STAGES

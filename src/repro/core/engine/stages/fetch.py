@@ -5,17 +5,11 @@ columns (``index >> FETCH_SHIFT`` selects a block, decoded from the
 column slices on first touch) — the tuple lists the seed fetch loop
 indexed never materialize.
 
-Registered variants (see :mod:`repro.core.engine.stages`):
-
-* :func:`fetch` — the generic stage: per-candidate pipeline lookups and
-  buffer-space probes (threads map to different decoupling buffers);
-* :func:`fetch_mono` — the single-pipeline specialization: every thread
-  shares the one decoupling buffer, so those probes collapse to a
-  single up-front check. Candidate order and the policy sort are
-  untouched, so the fetched stream is bit-identical.
-
-:func:`fetch_thread` fetches one packet for one thread (shared by both
-variants).
+The stage walks the threads in policy order (ICOUNT, L1MCOUNT or a
+policy's own sort key), skipping threads gated by a flush wait, a fetch
+stall or a full decoupling buffer, and spends the fetch width across up
+to ``fetch_threads`` of them; :func:`fetch_thread` fetches one packet
+for one thread.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from repro.core.engine.state import _PK_ICOUNT, _PK_L1M, FL_MISPRED, FL_WRONGPAT
 from repro.isa.opcodes import OP_BRANCH, OP_CALL, OP_RETURN
 from repro.trace.stream import FETCH_MASK, FETCH_SHIFT
 
-__all__ = ["fetch", "fetch_mono", "fetch_thread"]
+__all__ = ["fetch", "fetch_thread"]
 
 
 def fetch(self) -> None:
@@ -53,51 +47,6 @@ def fetch(self) -> None:
             infl = self.inflight_loads
             ic = self.icount
             candidates.sort(key=lambda t: (infl[t], -pipes[t].width, ic[t]))
-        else:
-            policy = self.policy
-            candidates.sort(key=lambda t: policy.sort_key(self, t))
-    remaining = self._fetch_width
-    threads_used = 0
-    max_threads = self._fetch_threads
-    fetch_one = self._fetch_thread
-    for t in candidates:
-        if remaining <= 0 or threads_used >= max_threads:
-            break
-        threads_used += 1
-        remaining -= fetch_one(t, remaining)
-
-
-def fetch_mono(self) -> None:
-    """Single-pipeline fetch: every thread shares the one decoupling
-    buffer, so the per-candidate pipeline lookups and buffer-space
-    probes of :func:`fetch` collapse to a single up-front check.
-    Candidate order and the policy sort are untouched (the candidate
-    list still ascends in thread id before the stable sort), so the
-    fetched stream is bit-identical to the generic stage."""
-    pl = self.active_pipes[0]
-    if len(pl.buffer) >= pl.buffer_cap:
-        return
-    cyc = self.cycle
-    flush_wait = self.flush_wait
-    stall = self.fetch_stall_until
-    candidates = [
-        t
-        for t in range(self.num_threads)
-        if not flush_wait[t] and cyc >= stall[t]
-    ]
-    if not candidates:
-        return
-    if len(candidates) > 1:
-        kind = self._policy_kind
-        if kind == _PK_ICOUNT:
-            candidates.sort(key=self.icount.__getitem__)
-        elif kind == _PK_L1M:
-            # Pipeline width is a constant term within one pipeline;
-            # the stable sort makes (inflight, icount) equivalent to
-            # the generic (inflight, -width, icount) key.
-            infl = self.inflight_loads
-            ic = self.icount
-            candidates.sort(key=lambda t: (infl[t], ic[t]))
         else:
             policy = self.policy
             candidates.sort(key=lambda t: policy.sort_key(self, t))

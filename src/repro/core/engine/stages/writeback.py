@@ -7,8 +7,8 @@ redirect on mispredicts) or fires a FLUSH check (:func:`do_flush` — the
 baseline policy's long-latency-load squash). :func:`squash_after` is the
 shared squash walker (mispredict recovery and FLUSH both use it).
 
-There is no mono/SMT split here: the wheel and the ROB arrays are
-pipeline-agnostic, so one implementation serves every configuration.
+The wheel and the ROB arrays are pipeline-agnostic, so the stage never
+loops over pipelines.
 """
 
 from __future__ import annotations

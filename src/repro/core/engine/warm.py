@@ -218,10 +218,6 @@ def warm(self) -> None:
     """
     mem = self.mem
     unit = self.branch_unit
-    # Warm passes rewrite structure state wholesale: a specialized
-    # cycle loop speculating on stable state must notice and deopt
-    # (see the codegen variant's warm-restore guard).
-    self._spec_epoch += 1
     fresh = not self._warmed and self.cycle == 0 and self.seq == 0
     key = None
     disk_path = None
@@ -256,12 +252,7 @@ def warm(self) -> None:
 
 
 def _load_warm_snapshot(self, snap: tuple) -> None:
-    """Restore the 7 structure states of a warm snapshot.
-
-    Bumps ``_spec_epoch``: a restore into a live machine is a
-    warm-restore boundary the specialized cycle loop must deopt on.
-    """
-    self._spec_epoch += 1
+    """Restore the 7 structure states of a warm snapshot."""
     l1i, l1d, l2, itlb, dtlb, pred, btb = snap
     mem = self.mem
     mem.l1i.load_state(l1i)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.processor import Processor
+    from repro.core.engine import Processor
 
 __all__ = [
     "FetchPolicy",

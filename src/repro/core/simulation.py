@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MicroarchConfig, get_config
-from repro.core.processor import Processor
+from repro.core.engine import Processor
 from repro.trace.stream import Trace, trace_for
 
 __all__ = [

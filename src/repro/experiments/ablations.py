@@ -41,7 +41,7 @@ from repro.runner import BatchRunner
 from repro.runner.continuation import ContinuationRun, run_bundled
 from repro.runner.screening import ScreenJob
 from repro.trace.profiling import profile_benchmark
-from repro.workloads.definitions import Workload, get_workload
+from repro.workloads.definitions import get_workload
 
 __all__ = [
     "ablation_fetch_policy",

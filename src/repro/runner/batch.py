@@ -33,7 +33,7 @@ Workers share two content-addressed stores through one directory:
   job's :meth:`~repro.runner.jobs.Job.trace_manifest`) into the store,
   so cold workers mmap the packed buffers instead of re-running
   :class:`~repro.trace.synthetic.TraceGenerator`;
-* a warm-snapshot store (see :func:`repro.core.processor.set_warm_store`)
+* a warm-snapshot store (see :func:`repro.core.engine.set_warm_store`)
   — the first process to warm a trace set persists the structure state,
   every other process restores it.
 
@@ -111,7 +111,7 @@ def _init_worker(cache_dir: Optional[str], store_dir: Optional[str]) -> None:
     if store_dir is not None:
         # Read-only for traces (the parent pre-packed the batch's traces);
         # read-write for warm snapshots (first warmer persists them).
-        from repro.core.processor import set_warm_store
+        from repro.core.engine import set_warm_store
         from repro.trace.stream import set_trace_store
 
         set_trace_store(store_dir, save_on_generate=False)
@@ -446,7 +446,7 @@ class BatchRunner:
         if self.store_dir is None:
             return
         from repro.core.config import get_config
-        from repro.core.processor import ensure_warm_snapshot
+        from repro.core.engine import ensure_warm_snapshot
         from repro.trace.packed import PackedTrace, PackedTraceStore
         from repro.trace.stream import _JUNK_LEN, trace_for
 

@@ -37,9 +37,8 @@ import time
 from collections import OrderedDict
 from hashlib import sha256
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, Protocol, Tuple
+from typing import Iterator, NamedTuple, Optional, Protocol, Tuple
 
-from repro.core.engine.options import engine_options_for, engine_variant_id
 from repro.core.simulation import SimResult
 from repro.ioutil import atomic_write_bytes
 from repro.trace.packed import PACK_FORMAT_VERSION
@@ -344,25 +343,16 @@ class ResultCache:
         :class:`~repro.runner.jobs.SimJob` that is byte-identical to the
         legacy field set, so existing cache entries keep hitting. All
         keys are salted with the engine and packed-trace format
-        versions, plus — whenever a non-generic engine variant (the
-        codegen specialization) would execute the job — that variant's
-        identity. Specialized and generic runs are bit-identical by
-        contract, but the cache must not be able to *mask* a
-        specialization bug by serving one variant's stale entry to the
-        other; generic runs keep the legacy key bytes, so existing
-        caches keep hitting.
+        versions.
 
         The key is memoized on the job instance (jobs are frozen/
         immutable and every ``get``+``put`` pair used to re-serialize
         and re-hash the full description twice): the memo is validated
-        against the salt tuple — engine version, trace format, active
-        engine variant — so runtime engine-option flips or version
-        monkeypatching recompute instead of serving a stale key.
+        against the salt tuple — engine version, trace format — so
+        version monkeypatching recomputes instead of serving a stale
+        key.
         """
-        variant = engine_variant_id(
-            engine_options_for(getattr(job, "config", None))
-        )
-        salt_state = (ENGINE_VERSION, PACK_FORMAT_VERSION, variant)
+        salt_state = (ENGINE_VERSION, PACK_FORMAT_VERSION)
         memo = getattr(job, _KEY_MEMO_ATTR, None)
         if memo is not None and memo[0] == salt_state:
             return memo[1]
@@ -371,8 +361,6 @@ class ResultCache:
             "engine": ENGINE_VERSION,
             "trace_format": PACK_FORMAT_VERSION,
         }
-        if variant != "generic":
-            salts["engine_variant"] = variant
         desc = json.dumps({**salts, **fields}, sort_keys=True)
         key = sha256(desc.encode()).hexdigest()
         try:

@@ -161,7 +161,7 @@ class Worker:
         gc.disable()
         gc.freeze()
         if self.store_dir:
-            from repro.core.processor import set_warm_store
+            from repro.core.engine import set_warm_store
             from repro.trace.stream import set_trace_store
 
             set_trace_store(self.store_dir, save_on_generate=False)

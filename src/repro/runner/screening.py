@@ -30,7 +30,7 @@ reference scenario).
 
 :class:`HalvingScreen` only *plans*; :class:`ScreenJob` executes a whole
 ladder for one (configuration, workload) pair inside one worker, keeping
-survivors' :class:`~repro.core.processor.Processor` objects alive between
+survivors' :class:`~repro.core.engine.Processor` objects alive between
 rounds so they *continue* executing instead of restarting (checkpointed
 continuation — bit-identical to fresh longer runs). The experiment sweep
 ships one ``ScreenJob`` per pair in a single cross-pair batch
@@ -235,7 +235,7 @@ class ScreenJob:
     """Screen one (configuration, workload)'s candidate mappings.
 
     One job covers the pair's whole screening ladder so it can
-    *checkpoint*: candidates keep their :class:`~repro.core.processor.
+    *checkpoint*: candidates keep their :class:`~repro.core.engine.
     Processor` between rounds and survivors simply continue executing to
     the next window. A resumed simulation is bit-identical to a fresh
     longer one (the commit target only decides when the run stops), so
@@ -292,7 +292,7 @@ class ScreenJob:
         return result
 
     def _execute_ladder(self) -> ScreenResult:
-        from repro.core.processor import Processor
+        from repro.core.engine import Processor
         from repro.core.simulation import default_trace_length, resolve_traces
 
         config = (

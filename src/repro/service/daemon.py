@@ -42,7 +42,8 @@ def _configure_logging(quiet: bool) -> None:
 
 async def _serve(service: ReproService, socket_path: Optional[str],
                  host: str, port: Optional[int]) -> None:
-    """Accept until a termination signal, then drain gracefully."""
+    """Accept until a termination signal or a client's ``drain`` frame,
+    then drain gracefully."""
     await service.start()
     if socket_path is not None:
         # A stale socket file from a killed predecessor would fail bind.
@@ -64,11 +65,19 @@ async def _serve(service: ReproService, socket_path: Optional[str],
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, stop.set)
     logger.info("repro serve listening on %s", endpoint)
+    signalled = asyncio.ensure_future(stop.wait())
+    drained = asyncio.ensure_future(service.wait_drained())
     try:
-        await stop.wait()
-        logger.info("termination signal: draining (in-flight finishes, "
-                    "queued requests get a retryable error)")
+        await asyncio.wait((signalled, drained),
+                           return_when=asyncio.FIRST_COMPLETED)
+        if signalled.done():
+            logger.info("termination signal: draining (in-flight finishes, "
+                        "queued requests get a retryable error)")
+        else:
+            logger.info("drain requested by a client: shutting down")
     finally:
+        signalled.cancel()
+        drained.cancel()
         server.close()
         await server.wait_closed()
         await service.close()

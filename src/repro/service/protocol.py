@@ -44,7 +44,6 @@ import json
 from hashlib import sha256
 from typing import List, Optional, Sequence
 
-from repro.core.engine.options import engine_variant_id
 from repro.runner import cache as _cache
 from repro.runner.jobs import SimJob
 from repro.runner.screening import ScreenJob
@@ -282,19 +281,11 @@ def request_key(kind: str, jobs: Sequence) -> str:
     Hashes the jobs' own cache-key fields under the version salts, so a
     request key changes exactly when the cached results it would read
     change — the coalescing tier and the result cache can never disagree
-    about what "identical" means. Like the result cache, the key is
-    additionally salted with the active engine variant whenever it is
-    not the generic one (the codegen specialization): bit-identical by
-    contract, but a specialization bug must not be maskable by a
-    coalesced or cached response. Generic runs keep the legacy key
-    bytes.
+    about what "identical" means.
     """
-    variant = engine_variant_id()
-    extra = {} if variant == "generic" else {"engine_variant": variant}
     desc = canonical_dumps(
         {
             **version_banner(),
-            **extra,
             "kind": kind,
             "jobs": [job.cache_key_fields() for job in jobs],
         }

@@ -241,6 +241,12 @@ class ReproService:
             await self._drained.wait()
         self._executor.shutdown(wait=True)
 
+    async def wait_drained(self) -> None:
+        """Return once a drain, started by anyone, has finished the
+        last execution (the daemon's cue to shut down after a client's
+        ``drain`` frame)."""
+        await self._drained.wait()
+
     async def close(self) -> None:
         """Drain, then stop the consumer task (the daemon's last step
         before closing the runner)."""

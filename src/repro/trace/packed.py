@@ -23,7 +23,7 @@ The columns double as the input to the vectorized warm-up:
 :func:`warm_sequences` precomputes, per structure, exactly the access
 sequence the old per-entry warm loop would have issued (d-side addresses,
 conditional-branch outcomes, taken-control targets, fetch PCs), so
-:meth:`~repro.core.processor.Processor.warm` can stream each structure in
+:meth:`~repro.core.engine.Processor.warm` can stream each structure in
 one batched pass — bit-identical state, a fraction of the dispatch cost.
 """
 

@@ -41,11 +41,6 @@ from repro.trace.benchmarks import BenchmarkProfile, get_benchmark
 from repro.trace.packed import PackedTrace, PackedTraceStore, WarmSequences, warm_sequences
 from repro.trace.synthetic import StaticProgram, TraceGenerator
 
-try:  # optional numpy block-decode path; see set_numpy_decode
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
 __all__ = [
     "FETCH_BLOCK",
     "FETCH_MASK",
@@ -55,8 +50,6 @@ __all__ = [
     "clear_trace_cache",
     "set_trace_store",
     "active_trace_store",
-    "set_numpy_decode",
-    "numpy_decode_active",
 ]
 
 #: Fetch-view block geometry: the fetch engine addresses trace entries as
@@ -67,53 +60,14 @@ FETCH_SHIFT = 10
 FETCH_BLOCK = 1 << FETCH_SHIFT
 FETCH_MASK = FETCH_BLOCK - 1
 
-#: Column-block decode strategy. ``REPRO_NUMPY_DECODE=1`` selects the
-#: numpy transpose (``np.frombuffer`` column views stacked and
-#: ``tolist``-ed, rows re-tupled); anything else — including numpy being
-#: absent, the automatic fallback — selects the pure-python ``zip`` of
-#: column slices. The zip transpose measured *faster* on CPython
-#: 3.11/3.12 (~150 µs vs ~250 µs per 1024-entry block: numpy's
-#: ``tolist`` re-boxes every int64, which the tuple build then pays
-#: again), so numpy decode is an opt-in for interpreters where the
-#: balance tips the other way, not the default. Both paths are pinned
-#: bit-identical by tests/core/test_fetch_column_equivalence.py.
-_NUMPY_DECODE = _np is not None and os.environ.get("REPRO_NUMPY_DECODE") == "1"
-
-
-def set_numpy_decode(enabled: bool) -> bool:
-    """Select (True) or deselect the numpy block-decode path; returns the
-    resulting state (False when numpy is unavailable — the pure-python
-    path is the permanent fallback).
-
-    Prefer the typed switchboard —
-    ``repro.core.engine.options.set_engine_options(EngineOptions(
-    numpy_decode=True))`` — which calls this; the env var and this
-    setter remain as the low-level fallback spelling.
-    """
-    global _NUMPY_DECODE
-    _NUMPY_DECODE = bool(enabled) and _np is not None
-    return _NUMPY_DECODE
-
-
-def numpy_decode_active() -> bool:
-    return _NUMPY_DECODE
-
-
 def _transpose_block(c, lo: int, hi: int) -> List[TraceEntry]:
     """Decode one block of the 7 int64 column slices into entry tuples.
 
-    The numpy path builds the block with ``np.frombuffer`` column views
-    (zero-copy over ``array('q')`` buffers and mmap-backed memoryviews
-    alike), one C-level stack + ``tolist``, and re-tuples the rows so the
-    result is indistinguishable from the zip transpose — exact python
-    ints, exact tuples.
+    A ``zip`` of the column slices transposes the block at C speed. It
+    measured faster than a numpy stack + ``tolist`` on CPython 3.11/3.12
+    (~150 µs vs ~250 µs per 1024-entry block: ``tolist`` boxes every
+    int64, and the tuple build then pays again).
     """
-    if _NUMPY_DECODE:
-        frombuffer = _np.frombuffer
-        block = _np.stack(
-            [frombuffer(col, dtype=_np.int64)[lo:hi] for col in c], axis=1
-        )
-        return list(map(tuple, block.tolist()))
     return list(zip(c[0][lo:hi], c[1][lo:hi], c[2][lo:hi],
                     c[3][lo:hi], c[4][lo:hi], c[5][lo:hi],
                     c[6][lo:hi]))
@@ -229,9 +183,8 @@ class Trace:
     def entry_block(self, block: int) -> List[TraceEntry]:
         """Decode (and cache) correct-path block ``block``: an exact
         tuple-for-tuple window of the stream, built by one C-speed
-        transpose of the packed int64 column slices (``zip``, or the
-        opt-in numpy path — see :func:`set_numpy_decode`; or sliced
-        straight out of the explicit tuple list when one exists)."""
+        transpose of the packed int64 column slices (or sliced straight
+        out of the explicit tuple list when one exists)."""
         if self._entry_blocks is None:
             self.fetch_view()
         lo = block << FETCH_SHIFT

@@ -90,7 +90,7 @@ def clean_sim_state():
     toggle stores apply it wholesale via
     ``pytestmark = pytest.mark.usefixtures("clean_sim_state")``."""
     yield
-    from repro.core.processor import clear_warm_cache, set_warm_store
+    from repro.core.engine import clear_warm_cache, set_warm_store
     from repro.trace.stream import clear_trace_cache, set_trace_store
 
     set_trace_store(None)

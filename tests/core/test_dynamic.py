@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import get_config
 from repro.core.dynamic import remap_threads, run_dynamic
-from repro.core.processor import Processor
+from repro.core.engine import Processor
 from repro.trace.composite import composite_trace
 from repro.trace.stream import trace_for
 

@@ -10,19 +10,15 @@ indexed (generated, list-backed traces).
 
 Covered scenarios: the reference scenario pinned by the screening
 equivalence contract, plus one workload per class (ILP / MEM / MIX) on
-both a multipipeline configuration and the monolithic M8 baseline (which
-exercises the specialized single-pipeline fetch path).
+both a multipipeline configuration and the monolithic M8 baseline.
 """
 
 import pytest
 
-from repro.core.processor import clear_warm_cache
+from repro.core.engine import clear_warm_cache
 from repro.core.simulation import run_simulation
 from repro.trace.stream import (
-    FETCH_BLOCK,
     clear_trace_cache,
-    numpy_decode_active,
-    set_numpy_decode,
     set_trace_store,
     trace_for,
 )
@@ -39,7 +35,7 @@ SCENARIOS = {
                 (0, 1, 2, 3), 1500),
     "MIX-4W8": ("2M4+2M2", ("parser", "vpr", "vortex", "twolf"),
                 (0, 1, 2, 3), 1500),
-    # Monolithic baseline: the specialized single-pipeline fetch path.
+    # Monolithic baseline: one pipeline hosts every thread.
     "M8-MIX": ("M8", ("gzip", "twolf", "bzip2", "mcf"),
                (0, 0, 0, 0), 1500),
 }
@@ -82,16 +78,6 @@ def _column_backed_run(scenario, tmp_path):
     return result
 
 
-@pytest.fixture
-def _numpy_decode():
-    """Force the numpy block-decode path for one test (skips when numpy
-    is absent — the pure-python transpose is then the only path)."""
-    if not set_numpy_decode(True):
-        pytest.skip("numpy unavailable: no numpy decode path to compare")
-    yield
-    set_numpy_decode(False)
-
-
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_column_fetch_bit_identical_to_tuple_fetch(scenario, tmp_path):
     ref = _tuple_backed_run(SCENARIOS[scenario], tmp_path)
@@ -106,53 +92,4 @@ def test_column_fetch_bit_identical_to_tuple_fetch(scenario, tmp_path):
                 "squashed", "wrongpath_fetched", "fetched",
                 "icache_stalls", "btb_bubbles"):
         assert col.stats[key] == ref.stats[key], key
-    assert col == ref
-
-
-# ------------------------------------------------- numpy decode fast path
-
-
-def test_numpy_decode_blocks_identical_to_zip(tmp_path, _numpy_decode):
-    """The numpy transpose must produce *indistinguishable* blocks —
-    exact tuples of exact python ints — for every block of a store-served
-    trace, entry and junk pools alike (including the ragged final
-    block)."""
-    set_trace_store(tmp_path, save_on_generate=True)
-    trace_for("gcc", 3 * FETCH_BLOCK // 2)  # ragged: 1.5 blocks
-    clear_trace_cache()
-    set_trace_store(tmp_path, save_on_generate=False)
-    trace = trace_for("gcc", 3 * FETCH_BLOCK // 2)
-    assert trace.packed is not None and trace._entries is None
-    eblocks, jblocks = trace.fetch_view()
-    for b in range(len(eblocks)):
-        set_numpy_decode(True)
-        np_blk = trace.entry_block(b)
-        set_numpy_decode(False)
-        trace._entry_blocks[b] = None
-        zip_blk = trace.entry_block(b)
-        set_numpy_decode(True)
-        assert np_blk == zip_blk
-        for np_e, zip_e in zip(np_blk, zip_blk):
-            assert type(np_e) is type(zip_e) is tuple
-            assert all(type(v) is int for v in np_e)
-    for b in range(len(jblocks)):
-        set_numpy_decode(True)
-        np_blk = trace.junk_block(b)
-        set_numpy_decode(False)
-        trace._junk_blocks[b] = None
-        zip_blk = trace.junk_block(b)
-        set_numpy_decode(True)
-        assert np_blk == zip_blk
-
-
-@pytest.mark.parametrize("scenario", ["reference", "M8-MIX"])
-def test_numpy_decode_simulation_bit_identical(scenario, tmp_path,
-                                               _numpy_decode):
-    """End-to-end differential: a column-backed simulation decoding via
-    numpy equals the tuple-backed reference bit for bit."""
-    set_numpy_decode(False)
-    ref = _tuple_backed_run(SCENARIOS[scenario], tmp_path)
-    set_numpy_decode(True)
-    col = _column_backed_run(SCENARIOS[scenario], tmp_path)
-    assert numpy_decode_active()
     assert col == ref

@@ -10,7 +10,7 @@ from repro.core.fetch_policies import (
     RoundRobinPolicy,
     make_policy,
 )
-from repro.core.processor import Processor
+from repro.core.engine import Processor
 from repro.trace.stream import trace_for
 
 

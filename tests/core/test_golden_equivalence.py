@@ -11,7 +11,7 @@ modeling change, not an optimization, and must fail here.
 import pytest
 
 from repro.core.config import get_config
-from repro.core.processor import Processor, clear_warm_cache
+from repro.core.engine import Processor, clear_warm_cache
 from repro.core.simulation import run_simulation
 
 # (config, benchmarks, mapping, commit_target) -> seed-engine outcome.
@@ -196,40 +196,3 @@ def test_default_cap_accounts_for_skipped_cycles(tiny_traces):
     proc.warm()
     proc.run()
     assert proc.cycle <= 400 * 10 + 10_000
-
-
-@pytest.mark.parametrize(
-    "benchmarks, mapping, target",
-    [
-        (("mcf", "twolf"), (0, 0), 1200),
-        (("gzip", "twolf", "bzip2", "mcf"), (0, 0, 0, 0), 1000),
-        # Six threads overcommit M8's contexts: threads-per-cycle binds
-        # in rename, the rotor wraps a longer thread list.
-        (("gzip", "gcc", "crafty", "eon", "gap", "bzip2"),
-         (0,) * 6, 800),
-    ],
-)
-def test_mono_stages_equal_generic_stages(benchmarks, mapping, target,
-                                          tiny_traces):
-    """The specialized single-pipeline commit/fetch stages must be
-    indistinguishable from the generic stages they shadow. _commit_mono
-    and _fetch_mono are deliberate hot-path copies of _commit/_fetch
-    with the pipeline loop collapsed — this test is the contract that
-    keeps the copies honest: any semantic fix applied to one but not
-    the other diverges here immediately."""
-    cfg = get_config("M8")
-
-    mono = Processor(cfg, tiny_traces(benchmarks, 3000), mapping, target)
-    assert mono._commit_impl.__func__ is Processor._commit_mono
-    assert mono._fetch_impl.__func__ is Processor._fetch_mono
-    mono.warm()
-    mono.run()
-
-    generic = Processor(cfg, tiny_traces(benchmarks, 3000), mapping, target)
-    # Force the generic multi-pipeline stages onto the same machine.
-    generic._commit_impl = generic._commit
-    generic._fetch_impl = generic._fetch
-    generic.warm()
-    generic.run()
-
-    assert _observable_state(mono) == _observable_state(generic)

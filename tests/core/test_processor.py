@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import BaselineParams, MicroarchConfig, get_config
 from repro.core.models import M2, M8
-from repro.core.processor import Processor, S_FREE
+from repro.core.engine import Processor, S_FREE
 from repro.isa.opcodes import OP_BRANCH, OP_INT, OP_LOAD, OP_MUL, OP_STORE
 from repro.isa.registers import REG_NONE
 

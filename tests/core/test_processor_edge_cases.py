@@ -2,7 +2,7 @@
 
 
 from repro.core.config import get_config
-from repro.core.processor import FL_MISPRED, Processor, S_FREE
+from repro.core.engine import FL_MISPRED, Processor, S_FREE
 from repro.isa.opcodes import OP_BRANCH, OP_INT, OP_LOAD
 from repro.isa.registers import REG_NONE
 from repro.trace.stream import trace_for

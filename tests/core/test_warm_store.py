@@ -8,7 +8,7 @@ degrades to recompute, never to different numbers.
 
 import pytest
 
-from repro.core.processor import (
+from repro.core.engine import (
     clear_warm_cache,
     ensure_warm_snapshot,
     set_warm_store,
@@ -111,7 +111,7 @@ def test_parent_precomputed_snapshot_matches_worker_computation(tmp_path):
 def test_hand_built_traces_skip_the_warm_store(tmp_path):
     """Traces without a content key (hand-built) never hit the disk."""
     from repro.core.config import get_config
-    from repro.core.processor import Processor
+    from repro.core.engine import Processor
     from repro.trace.benchmarks import get_benchmark
     from repro.trace.stream import Trace
 

@@ -9,7 +9,7 @@ cycle.
 
 The reference implementation below is the pre-merge three-heap stage,
 copied verbatim (``_issue`` / ``_complete`` / ``_rename`` as of PR 3)
-and bound onto a live :class:`~repro.core.processor.Processor` whose
+and bound onto a live :class:`~repro.core.engine.Processor` whose
 per-pipeline ``ready`` structures are swapped back to heap triples.
 Hypothesis drives both machines over randomized workloads, mappings and
 commit targets; they are stepped in lockstep and must agree on the
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import STANDARD_CONFIG_NAMES, get_config
 from repro.core.mapping import enumerate_mappings
-from repro.core.processor import (
+from repro.core.engine import (
     EV_COMPLETE,
     EV_FLUSHCHK,
     FL_LOADCTR,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import STANDARD_CONFIG_NAMES, get_config
 from repro.core.mapping import enumerate_mappings
-from repro.core.processor import Processor, S_FREE
+from repro.core.engine import Processor, S_FREE
 from repro.trace.benchmarks import BENCHMARK_NAMES
 from repro.trace.stream import trace_for
 

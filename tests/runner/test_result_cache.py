@@ -3,10 +3,15 @@ keys track the packed-trace format version (a format bump must orphan
 every cached result, because packed traces feed the simulations)."""
 
 import json
+from pathlib import Path
 
+import pytest
 
-from repro.runner import BatchRunner, ResultCache
+from repro.core.config import get_config
+from repro.runner import BatchRunner, ResultCache, SimJob
 from repro.runner.screening import ScreenJob
+from repro.service.protocol import request_key
+from repro.workloads.definitions import WORKLOADS
 
 
 
@@ -182,3 +187,48 @@ def test_screen_job_corrupted_entry_recomputes(tmp_path):
     assert cache.get(job) is None
     cache.put(job, job.execute())
     assert cache.get(job) == result
+
+
+def test_cache_and_request_key_bytes_are_pinned():
+    """Literal digests: any change to the key derivation (salts, field
+    set, serialization) shows up here, and every cached result and
+    coalesced request keyed the old way would silently stop hitting."""
+    by_name = SimJob("M8", ("gzip", "twolf"), (0, 0), 500)
+    by_config = SimJob(
+        get_config("2M4+2M2"), ("gzip", "twolf", "bzip2", "mcf"), (0, 0, 1, 1), 500
+    )
+    assert (
+        ResultCache.job_key(by_name)
+        == "c6d1d87dba970694eb55ad0c386db0563e361330ae40ee43b9cda8f6d7bbd633"
+    )
+    assert (
+        ResultCache.job_key(by_config)
+        == "e1f22aee48bb607d74707f543ce7c10ba15450b3648d63df366cf76c30626995"
+    )
+    assert (
+        request_key("sweep", [by_name, by_config])
+        == "aa0ccb6e000af26af1b42bea7e737c958580ef52c8145d1018b8c557f15835dc"
+    )
+
+
+#: Per-(config, workload) job and request keys, recorded alongside the
+#: pinned results of ``tests/core/test_result_pins.py``.
+_PINS = json.loads(
+    (Path(__file__).resolve().parents[1] / "data" / "engine_pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "pin", _PINS, ids=[f"{p['config']}-{p['workload']}" for p in _PINS]
+)
+def test_job_and_request_keys_match_pinned_bytes(pin):
+    """Every standard configuration on every workload keys its cached
+    result and its request exactly as the recorded engine did."""
+    job = SimJob(
+        pin["config"],
+        WORKLOADS[pin["workload"]].benchmarks,
+        tuple(pin["mapping"]),
+        pin["target"],
+    )
+    assert ResultCache.job_key(job) == pin["job_key"]
+    assert request_key("sweep", [job]) == pin["request_key"]

@@ -3,9 +3,9 @@
 The in-process suite (test_server.py) pins the service semantics; this
 one proves the shipped entry points compose — daemon process, unix
 socket, ``repro submit`` / ``repro status`` CLI verbs, byte-identity
-against the local execution path, and a SIGTERM drain that exits
-cleanly with no orphaned pool workers.  This is also what the
-``make serve-smoke`` CI lane runs.
+against the local execution path, and a drain — by SIGTERM or by a
+client's ``drain`` frame — that exits cleanly with no orphaned pool
+workers.  This is also what the ``make serve-smoke`` CI lane runs.
 """
 
 import json
@@ -76,6 +76,19 @@ def _alive(pid):
     except PermissionError:
         return True
     return True
+
+
+def _assert_clean_exit(proc, sock, workers):
+    """The daemon exits 0, unlinks its socket, and leaves no pool
+    worker of ``workers`` alive."""
+    assert proc.wait(timeout=60) == 0
+    assert not os.path.exists(sock)  # socket unlinked on the way out
+    deadline = time.monotonic() + 10
+    while any(_alive(pid) for pid in workers):
+        if time.monotonic() > deadline:
+            raise AssertionError(f"orphaned pool workers: "
+                                 f"{[p for p in workers if _alive(p)]}")
+        time.sleep(0.1)
 
 
 @pytest.fixture
@@ -152,14 +165,18 @@ def test_daemon_round_trip_and_graceful_drain(daemon, tmp_path):
     workers = _children(proc.pid)
     assert workers, "expected live pool workers before the drain"
     proc.send_signal(signal.SIGTERM)
-    assert proc.wait(timeout=60) == 0
-    assert not os.path.exists(sock)  # socket unlinked on the way out
-    deadline = time.monotonic() + 10
-    while any(_alive(pid) for pid in workers):
-        if time.monotonic() > deadline:
-            raise AssertionError(f"orphaned pool workers: "
-                                 f"{[p for p in workers if _alive(p)]}")
-        time.sleep(0.1)
+    _assert_clean_exit(proc, sock, workers)
+
+
+def test_wire_drain_stops_the_daemon(daemon):
+    """A client's ``drain`` frame ends the daemon just like SIGTERM: no
+    signal is sent, yet it exits 0 and takes its pool workers along."""
+    proc, client, sock = daemon
+    client.submit("sweep", REFERENCE_SWEEP)
+    workers = _children(proc.pid)
+    assert workers, "expected live pool workers before the drain"
+    client.drain()
+    _assert_clean_exit(proc, sock, workers)
 
 
 def test_submit_against_dead_endpoint_is_retryable_exit(tmp_path):
