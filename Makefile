@@ -17,12 +17,12 @@
 #                 chaos lane)
 #   make chaos-remote  distributed chaos lane: real `repro worker`
 #                 processes under REPRO_FAULT_PLAN (worker death, hangs
-#                 past lease expiry, stale-lease takeover, and a forced
-#                 straggler whose bundle tail must be stolen), asserting
-#                 bit-identical output + an eventful run report
+#                 past lease expiry, stale-lease takeover, speculative
+#                 straggler twins), asserting bit-identical output + an
+#                 eventful run report
 #   make cache-smoke  multi-tier result-cache lane: memory-tier/backend
-#                 semantics, the rendered-frame tier, the split/steal
-#                 partition properties, and the `repro cache` CLI verbs
+#                 semantics, the rendered-frame tier, and the `repro
+#                 cache` CLI verbs
 #   make serve-smoke  simulation-service lane: boot a real `repro
 #                 serve` daemon, submit the reference sweep, assert the
 #                 response byte-identical to the local execution path,
@@ -62,7 +62,6 @@ serve-smoke:
 cache-smoke:
 	$(PYTHON) -m pytest -x -q \
 		tests/runner/test_cache_tiers.py \
-		tests/runner/test_split_properties.py \
 		tests/service/test_frame_cache.py \
 		tests/integration/test_cli.py::test_cache_stats_and_prune
 

@@ -9,8 +9,8 @@ then compares the fresh ``perf_gate`` reference section of
 ``BENCH_0010.json`` (written by ``test_cache_tiers``, whose gate sweep
 and single-sims run the local supervised path with no result cache in
 the loop, so the gate keeps measuring the engine; the same snapshot
-records the warm-tier and work-stealing A/Bs) — single-simulation cycles/sec
-and the fixed-scale reference-sweep wall clock — against the newest
+records the warm-tier A/B) — single-simulation cycles/sec and the
+fixed-scale reference-sweep wall clock — against the newest
 committed snapshot that records one (baseline discovery walks
 ``BENCH_0*.json`` newest-first, so appending ``BENCH_000N`` snapshots
 keeps working). A regression beyond ``PERF_GATE_TOLERANCE`` (default

@@ -1,6 +1,6 @@
-"""PR 10 snapshot (``BENCH_0010.json``): cache tiers + work stealing.
+"""Cache-tier snapshot (``BENCH_0010.json``).
 
-Two serving-economics measurements, both against real processes:
+One serving-economics measurement, against real processes:
 
 * **warm-hit A/B** — the serving stack with the memory/frame tiers on
   (``REPRO_MEM_CACHE_MB``) versus pinned disk-only
@@ -15,13 +15,6 @@ Two serving-economics measurements, both against real processes:
   sees including connect/transfer/parse costs the tiers cannot touch).
   Every round asserts the responses byte-identical to the cold
   reference, in both measurements, on both arms.
-* **straggler-steal A/B** — a distributed continuation-bundle sweep on
-  a two-worker fleet with one injected mid-sweep hang, run with work
-  stealing on (the hung bundle's un-started tail is split into
-  sub-tasks across the live fleet) and off (``REPRO_STEAL_PARTS=0``:
-  the legacy whole-bundle speculative twin).  Both arms must stay
-  byte-identical to the fault-free local run with zero failures; the
-  snapshot records the wall-clock of each arm.
 
 The snapshot also carries the standard **perf-gate reference** section
 (fixed ``GATE_SCALE``, same shape and methodology as BENCH_0009's;
@@ -51,9 +44,7 @@ from test_simulator_throughput import (
 
 from repro.core.config import get_config
 from repro.core.engine import Processor, clear_warm_cache
-from repro.runner import BatchRunner, JobQueue
-from repro.runner.cache import sim_result_payload
-from repro.runner.continuation import ContinuationJob, ContinuationRun
+from repro.runner import BatchRunner
 from repro.service import ReproService, ServiceClient
 from repro.trace.stream import clear_trace_cache, trace_for
 
@@ -76,27 +67,6 @@ REFERENCE_SWEEP = {"sims": [dict(_SIM, seed=s) for s in range(12)]}
 #: Interleaved warm rounds (each round measures BOTH daemons, order
 #: alternating; best-of across rounds is the reported latency).
 WARM_ROUNDS = 30
-
-#: The straggler sweep: continuation bundles on a two-worker fleet.
-STEAL_RUNS = tuple(
-    ContinuationRun("M8", ("gzip", "twolf"), (0, 0), 400, seed=500 + i)
-    for i in range(12)
-)
-STEAL_BUNDLES = [
-    ContinuationJob(runs=STEAL_RUNS[i:i + 2]) for i in range(0, 12, 2)
-]
-#: One worker-side hang, fired mid-sweep so the speculation deadline has
-#: a completion-time distribution to quantile.
-STEAL_PLAN = [{"match": "", "op": "hang", "executions": [4],
-               "scope": "worker", "hang_seconds": 8.0}]
-WORKER_TTL = 0.8
-
-
-def _canonical_bytes(results):
-    flat = [r for bundle in results for r in bundle]
-    return json.dumps(
-        [sim_result_payload(r) for r in flat], sort_keys=True
-    ).encode()
 
 
 # -- the warm-hit A/B --------------------------------------------------------
@@ -180,10 +150,9 @@ def _service_layer_ab(tmp_path):
     return mem_times, disk_times
 
 
-def test_cache_tiers_and_work_stealing(tmp_path, monkeypatch):
-    """The warm-hit A/B (service layer + end to end), the
-    straggler-steal A/B, and the perf-gate reference, all recorded into
-    ``BENCH_0010.json``."""
+def test_cache_tiers(tmp_path):
+    """The warm-hit A/B (service layer + end to end) and the perf-gate
+    reference, both recorded into ``BENCH_0010.json``."""
     # --- warm-hit A/B, service layer ------------------------------------
     svc_mem_times, svc_disk_times = _service_layer_ab(tmp_path)
     svc_speedup = min(svc_disk_times) / min(svc_mem_times)
@@ -222,69 +191,6 @@ def test_cache_tiers_and_work_stealing(tmp_path, monkeypatch):
             proc.wait(timeout=60)
 
     warm_speedup = min(disk_times) / min(mem_times)
-
-    # --- straggler-steal A/B --------------------------------------------
-    with BatchRunner(workers=1, trace_store=False) as local:
-        steal_reference = local.run(STEAL_BUNDLES)
-    ref_bytes = _canonical_bytes(steal_reference)
-
-    monkeypatch.setenv("REPRO_DIST_GRACE", "30")
-    monkeypatch.setenv("REPRO_LEASE_TTL", "2.0")
-    monkeypatch.setenv("REPRO_SPEC_QUANTILE", "0.25")
-    monkeypatch.setenv("REPRO_SPEC_FACTOR", "1.0")
-
-    def straggler_arm(name, steal_parts):
-        monkeypatch.setenv("REPRO_STEAL_PARTS", steal_parts)
-        if not steal_parts:
-            monkeypatch.delenv("REPRO_STEAL_PARTS")
-        qdir = tmp_path / f"{name}-q"
-        state = tmp_path / f"{name}-fault-state"
-        env = dict(
-            os.environ, PYTHONPATH=_SRC,
-            REPRO_FAULT_PLAN=json.dumps(STEAL_PLAN),
-            REPRO_FAULT_STATE=str(state),
-        )
-        with BatchRunner(workers=2, queue_dir=qdir,
-                         cache_dir=tmp_path / f"{name}-cache") as runner:
-            q = JobQueue(qdir)
-            procs = [
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro", "worker",
-                     "--queue", str(qdir), "--worker-id", f"{name}{i}",
-                     "--lease-ttl", str(WORKER_TTL)],
-                    env=env,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                )
-                for i in range(2)
-            ]
-            try:
-                deadline = time.monotonic() + 30
-                while len(q.live_workers(ttl=5.0)) < 2:
-                    assert time.monotonic() < deadline, "fleet never up"
-                    time.sleep(0.05)
-                t0 = time.perf_counter()
-                results = runner.run(STEAL_BUNDLES)
-                wall = time.perf_counter() - t0
-                report = runner.report
-            finally:
-                q.request_stop()
-                for p in procs:
-                    try:
-                        p.wait(timeout=20)
-                    except subprocess.TimeoutExpired:
-                        p.kill()
-                        p.wait(timeout=10)
-        assert _canonical_bytes(results) == ref_bytes
-        assert report.failures == 0
-        assert report.local_fallbacks == 0
-        return wall, report
-
-    steal_wall, steal_report = straggler_arm("steal", "")
-    twin_wall, twin_report = straggler_arm("twin", "0")
-    assert steal_report.steals >= 1
-    assert twin_report.steals == 0
-    assert twin_report.speculations >= 1
 
     # --- perf-gate reference (always, fixed scale) -----------------------
     from repro.experiments.performance import (
@@ -416,30 +322,6 @@ def test_cache_tiers_and_work_stealing(tmp_path, monkeypatch):
                 ),
             },
         },
-        "work_stealing": {
-            "bundles": len(STEAL_BUNDLES),
-            "runs_per_bundle": 2,
-            "commit_target": 400,
-            "hang_seconds": STEAL_PLAN[0]["hang_seconds"],
-            "steal_on": {
-                "wall_seconds": round(steal_wall, 3),
-                "steals": steal_report.steals,
-                "speculations": steal_report.speculations,
-            },
-            "steal_off": {
-                "wall_seconds": round(twin_wall, 3),
-                "steals": twin_report.steals,
-                "speculations": twin_report.speculations,
-            },
-            "note": (
-                "two-worker fleet, one injected mid-sweep 8s hang; "
-                "steal_on splits the hung bundle's un-started tail "
-                "across the live fleet, steal_off (REPRO_STEAL_PARTS=0) "
-                "dispatches the legacy whole-bundle speculative twin; "
-                "both arms asserted byte-identical to the fault-free "
-                "local run with zero failures"
-            ),
-        },
     }
 
     # Merge, never clobber: other benches may extend this snapshot later.
@@ -461,9 +343,6 @@ def test_cache_tiers_and_work_stealing(tmp_path, monkeypatch):
           f"vs disk {min(disk_times) * 1000:.2f} ms "
           f"({warm_speedup:.1f}x) over {WARM_ROUNDS} interleaved rounds "
           f"[saved to {TIERS_SNAPSHOT}]")
-    print(f"[work-stealing] straggler sweep: steal on {steal_wall:.2f} s "
-          f"({steal_report.steals} steal(s)) vs off {twin_wall:.2f} s "
-          f"({twin_report.speculations} twin(s))")
     print(f"[perf-gate ref] sweep best {min(gate_times):.2f} s @scale "
           f"{GATE_SCALE}, single-sim {gate_cps}")
 

@@ -118,21 +118,6 @@ def _init_worker(cache_dir: Optional[str], store_dir: Optional[str]) -> None:
         set_warm_store(store_dir)
 
 
-def _execute_job(job):
-    """Legacy worker entry point: raw result, no supervision side-band.
-
-    Kept as the reference implementation the equivalence tests and the
-    fault-tolerance overhead benchmark compare the supervised path
-    against (see :meth:`BatchRunner._run_pool_map`).
-    """
-    cache = (
-        ResultCache(_WORKER_CACHE_DIR)
-        if _WORKER_CACHE_DIR is not None
-        else None
-    )
-    return job.execute(cache)
-
-
 def _execute_job_supervised(job):
     """Supervised worker entry point: ``(result, stats)``.
 
@@ -349,9 +334,6 @@ class BatchRunner:
                     self.queue,
                     policy=self.policy,
                     report=self.report,
-                    # The shared cache powers the straggler work-stealer's
-                    # done-prefix probe (bundles cache per run).
-                    cache=self.cache,
                 )
             return self._distributor.run(jobs, fallback=self._run_local)
         return self._run_local(jobs)
@@ -411,25 +393,6 @@ class BatchRunner:
         finally:
             report.wall_seconds += _time.monotonic() - t0
         return results
-
-    def _run_pool_map(self, jobs: Sequence) -> List:
-        """The pre-resilience dispatch, verbatim: one ``pool.map`` over a
-        private pool, no supervision.
-
-        Not used by any production path — it is the A/B reference for the
-        supervised path's equivalence tests and the no-fault overhead
-        benchmark (``benchmarks/test_fault_tolerance.py``). One worker
-        crash or hang kills/stalls the whole batch, which is exactly the
-        behaviour the supervisor replaced.
-        """
-        jobs = list(jobs)
-        self._prepack_traces(jobs)
-        pool = self._make_pool()
-        try:
-            chunksize = max(1, len(jobs) // (self.workers * 4))
-            return list(pool.map(_execute_job, jobs, chunksize=chunksize))
-        finally:
-            pool.shutdown(wait=True)
 
     def _prepack_traces(self, jobs: Sequence) -> None:
         """Pack the batch's traces and warm snapshots into the shared store.

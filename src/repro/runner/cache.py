@@ -470,20 +470,6 @@ class ResultCache:
             # payload must never share mutable state with a caller.
             self._mem_put(key, json.loads(data), len(data))
 
-    def contains(self, job) -> bool:
-        """Whether a result for ``job`` is already stored (no decode —
-        the distributed work-stealer's done-prefix probe)."""
-        key = self.job_key(job)
-        if self.mem_enabled and key in self._mem:
-            return True
-        path = getattr(self.backend, "path_for", None)
-        if path is not None:
-            return path(key).exists()
-        try:
-            return self.backend.get_bytes(key) is not None
-        except OSError:
-            return False
-
     # -- introspection / GC ------------------------------------------------
 
     def stats(self) -> dict:

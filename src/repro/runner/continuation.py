@@ -1,29 +1,25 @@
 """Bundled run scheduler: many simulations per worker job.
 
-The sweep used to be dominated at both ends by runs dispatched as one
-worker job each: after the screen phase picked every pair's BEST/HEUR/
-WORST mappings, the pool drained through dozens of small full-length
-jobs — and in exact mode the screen phase itself dispatched one job per
-candidate mapping (``max_mappings × pairs`` jobs), each paying pickle,
-dispatch, result marshalling and cache probing that rivalled the
-simulation itself at screen-sized windows.
-
-:class:`ContinuationJob` packs many runs into one worker job: each
-:class:`ContinuationRun` executes exactly the
-:class:`~repro.runner.jobs.SimJob` it replaces (``as_sim_job`` — one
-shared implementation, zero drift surface), so a bundled run is
-bit-identical to the per-job dispatch. The experiment sweep partitions
-its run plans — full-length continuations *and* exact-mode screens —
-into ``bundle_count`` bundles (defaulting to the worker count) with
-:func:`plan_bundles`, so the pool executes a handful of large jobs
-instead of draining per run; :func:`run_bundled` wraps the round trip
-and hands results back in original run order.
+Dispatching every run as its own worker job pays pickle, dispatch,
+result marshalling and cache probing per run, which at screen-sized
+windows rivals the simulation itself.  :class:`ContinuationJob` packs
+many runs into one worker job instead: each :class:`ContinuationRun`
+executes exactly the :class:`~repro.runner.jobs.SimJob` it replaces
+(``as_sim_job`` — one shared implementation, zero drift surface), so a
+bundled run is bit-identical to per-job dispatch. The experiment sweep
+partitions its run plans — full-length continuations *and* exact-mode
+screens — into ``bundle_count`` bundles (defaulting to the worker
+count) with :func:`plan_bundles`; :func:`run_bundled` wraps the round
+trip and hands results back in original run order via
+:func:`unbundle_results`.
 
 Runs are assigned round-robin: one (configuration, workload) pair's
 BEST/HEUR/WORST runs (or a pair's screen candidates) land in different
 bundles, which balances the expensive pairs across workers (traces and
 warm snapshots are shared through the runner's content-addressed stores
-either way).
+either way).  A bundle is the unit of dispatch and of tail rescue: a
+timed-out bundle retries whole on the local pool, and a straggling one
+gets a whole speculative twin on the worker fleet.
 """
 
 from __future__ import annotations
@@ -45,10 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ContinuationRun",
     "ContinuationJob",
-    "join_split_results",
     "plan_bundles",
     "run_bundled",
-    "split_bundle",
     "unbundle_results",
 ]
 
@@ -166,50 +160,6 @@ def plan_bundles(
     for i, run in enumerate(runs):
         buckets[i % n].append(run)
     return [ContinuationJob(runs=tuple(b)) for b in buckets]
-
-
-def split_bundle(job: ContinuationJob, parts: int) -> List[ContinuationJob]:
-    """Split ``job`` into at most ``parts`` *contiguous* sub-bundles.
-
-    This is the work-stealing cut: unlike :func:`plan_bundles` (round
-    robin over a fresh plan), a split must preserve the bundle's own run
-    order so the straggler's already-cached head and the stolen tail
-    never interleave.  The parts partition ``job.runs`` exactly — every
-    run in exactly one part, original order, sizes differing by at most
-    one (the first ``len(runs) % parts`` parts are one run larger) — so
-    concatenating the parts' result tuples in part order is the
-    bit-identical unsplit ``job.execute()`` tuple
-    (:func:`join_split_results`; pinned by the hypothesis partition
-    suite).  Deterministic in ``(job.runs, parts)``; a single-run bundle
-    (or ``parts=1``) comes back whole.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    runs = job.runs
-    n = min(len(runs), parts)
-    if n == 0:
-        return []
-    if n == 1:
-        return [job]
-    base, extra = divmod(len(runs), n)
-    out: List[ContinuationJob] = []
-    start = 0
-    for p in range(n):
-        size = base + (1 if p < extra else 0)
-        out.append(ContinuationJob(runs=runs[start:start + size]))
-        start += size
-    return out
-
-
-def join_split_results(
-    part_results: Sequence[Tuple[SimResult, ...]],
-) -> Tuple[SimResult, ...]:
-    """Invert :func:`split_bundle`: concatenate the parts' result tuples
-    (in part order) back into the unsplit bundle's result tuple."""
-    out: List[SimResult] = []
-    for results in part_results:
-        out.extend(results)
-    return tuple(out)
 
 
 def unbundle_results(

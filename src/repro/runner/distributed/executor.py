@@ -25,19 +25,8 @@ same promise — ``results[i]`` is the bit-identical outcome of
   than ``spec_factor`` × the median duration gets a speculative twin
   (``<base>~s1``).  First published result wins; the loser's bytes would
   have been identical (idempotency), so speculation is pure tail-latency
-  insurance, never a correctness risk.
-* **work stealing** — a straggling *continuation bundle* does better
-  than a whole twin: the runs its worker already finished sit in the
-  shared result cache (bundles cache per run), so the front end probes
-  the cache for the done prefix, splits the un-started tail at run
-  boundaries (:func:`~repro.runner.continuation.split_bundle`) and
-  enqueues the parts as fresh sub-tasks (``<base>+p<j>`` — a separator
-  the twin machinery ignores, so each part publishes under its own
-  identity).  The bundle resolves from cached head + part results,
-  byte-identical to unsplit execution; the straggler publishing first
-  still wins.  ``REPRO_STEAL_PARTS`` fixes the part count (``0``
-  disables stealing, falling back to whole twins); unset sizes it to
-  the live fleet.
+  insurance, never a correctness risk.  The twin is the fleet's only
+  tail rescue: a straggling continuation bundle is re-dispatched whole.
 * **failure accounting** — worker-side failures claim machine-wide
   ordinals; when a task's count reaches the shared
   :class:`~repro.runner.resilience.RetryPolicy` attempt budget the
@@ -62,7 +51,7 @@ import os
 import statistics
 import time
 import uuid
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.distributed.queue import JobQueue, base_task_id
 from repro.runner.resilience import JobError, RetryPolicy, RunReport
@@ -74,12 +63,6 @@ logger = logging.getLogger(__name__)
 #: Suffix marking a speculative twin's task id (``<base>~s<n>``).
 _SPEC_MARK = "~s"
 
-#: Suffix marking a stolen sub-task (``<base>+p<j>``).  Deliberately not
-#: ``~``: :func:`~repro.runner.distributed.queue.base_task_id` collapses
-#: ``~`` suffixes onto the original task (first-wins publish), while
-#: every stolen part must publish under its *own* identity.
-_PART_MARK = "+p"
-
 
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name)
@@ -90,17 +73,6 @@ def _env_float(name: str, default: float) -> float:
     except ValueError:
         logger.warning("ignoring %s=%r: not a number", name, raw)
         return default
-
-
-def _env_steal_parts() -> Optional[int]:
-    raw = os.environ.get("REPRO_STEAL_PARTS")
-    if not raw:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        logger.warning("ignoring REPRO_STEAL_PARTS=%r: not an integer", raw)
-        return None
 
 
 class DistributedExecutor:
@@ -139,18 +111,8 @@ class DistributedExecutor:
         spec_factor: Optional[float] = None,
         spec_min_seconds: float = 1.0,
         stall_seconds: Optional[float] = None,
-        cache=None,
-        steal_parts: Optional[int] = None,
     ) -> None:
         self.queue = queue
-        #: shared ResultCache for the work-stealer's done-prefix probe
-        #: (None disables stealing; stragglers get whole twins)
-        self.cache = cache
-        #: stolen-sub-task count per straggler (``REPRO_STEAL_PARTS``;
-        #: 0 disables stealing, None sizes to the live fleet)
-        self.steal_parts = (
-            steal_parts if steal_parts is not None else _env_steal_parts()
-        )
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self.report = report if report is not None else RunReport()
         self.grace = (
@@ -185,69 +147,6 @@ class DistributedExecutor:
         # A polling worker heartbeats every lease_ttl/3; treat anything
         # fresher than a full ttl as alive.
         return self.queue.live_workers(self.lease_ttl)
-
-    # -- work stealing -----------------------------------------------------
-
-    def _try_steal(self, job, base: str, steals: Dict[str, dict]) -> bool:
-        """Steal a straggling bundle's un-started tail into sub-tasks.
-
-        Bundles cache per *run*, so the shared cache knows exactly how
-        far the straggler got: probe forward for the first uncached run
-        (``cut``), split the tail at run boundaries and enqueue each
-        part as ``<base>+p<j>``.  Returns True when a steal was set up
-        (the caller then skips the whole-bundle twin).  A fully-cached
-        bundle steals zero parts — the assembly path resolves it from
-        the cache alone on the next loop pass."""
-        if self.cache is None or self.steal_parts == 0:
-            return False
-        from repro.runner.continuation import ContinuationJob, split_bundle
-
-        if not isinstance(job, ContinuationJob) or len(job.runs) < 2:
-            return False
-        runs = job.runs
-        cut = 0
-        while cut < len(runs) and self.cache.contains(runs[cut].as_sim_job()):
-            cut += 1
-        tail = runs[cut:]
-        part_ids = []
-        if tail:
-            k = self.steal_parts or len(self._live_workers()) or 1
-            parts = split_bundle(ContinuationJob(runs=tail), max(1, k))
-            for j, part in enumerate(parts):
-                pid = f"{base}{_PART_MARK}{j}"
-                self.queue.enqueue(pid, part)
-                part_ids.append(pid)
-        steals[base] = {
-            "cut": cut,
-            "part_ids": part_ids,
-            "collected": [None] * len(part_ids),
-        }
-        self.report.steals += 1
-        logger.warning(
-            "stealing straggler %s: %d/%d run(s) already cached, "
-            "%d sub-task(s) enqueued for the tail",
-            base, cut, len(runs), len(part_ids),
-        )
-        return True
-
-    def _assemble_steal(self, job, steal: dict, report: RunReport):
-        """The stolen bundle's result tuple: cached head + part results
-        concatenated in part order — bit-identical to unsplit execution
-        (contiguous split, order-stable join).  A head entry pruned
-        between probe and assembly just recomputes inline (idempotent)."""
-        head = []
-        for run in job.runs[:steal["cut"]]:
-            hit = self.cache.get(run.as_sim_job())
-            if hit is None:
-                hit = run.execute(self.cache)
-            head.append(hit)
-        tail = []
-        for record in steal["collected"]:
-            tail.extend(record["result"])
-            report.attempts += 1
-            report.job_seconds.append(float(record.get("seconds", 0.0)))
-            report.absorb_worker_stats(record.get("stats"))
-        return tuple(head) + tuple(tail)
 
     # -- execution ---------------------------------------------------------
 
@@ -307,8 +206,6 @@ class DistributedExecutor:
         lease_deadlines: Dict[str, Tuple[float, float]] = {}
         failures_counted: Dict[str, int] = {}
         spec_issued: set = set()
-        #: base -> in-progress steal of a straggling bundle's tail
-        steals: Dict[str, dict] = {}
         now = time.monotonic()
         last_result = now
         last_live = now
@@ -322,28 +219,11 @@ class DistributedExecutor:
                 if record is None:
                     continue
                 i = pending.pop(base)
-                steals.pop(base, None)  # the straggler won after all
                 results[i] = record["result"]
                 durations.append(float(record.get("seconds", 0.0)))
                 report.attempts += 1
                 report.job_seconds.append(float(record.get("seconds", 0.0)))
                 report.absorb_worker_stats(record.get("stats"))
-                progressed = True
-
-            # -- harvest stolen sub-tasks ------------------------------
-            for base, steal in list(steals.items()):
-                if base not in pending:
-                    del steals[base]
-                    continue
-                collected = steal["collected"]
-                for j, pid in enumerate(steal["part_ids"]):
-                    if collected[j] is None:
-                        collected[j] = self.queue.load_result(pid)
-                if any(record is None for record in collected):
-                    continue
-                i = pending.pop(base)
-                del steals[base]
-                results[i] = self._assemble_steal(jobs[i], steal, report)
                 progressed = True
 
             if progressed:
@@ -352,27 +232,20 @@ class DistributedExecutor:
                 break
 
             # -- failure accounting (worker-side attempt ordinals) -----
-            watched = [(base, base) for base in pending]
-            watched.extend(
-                (pid, base)
-                for base, steal in steals.items()
-                if base in pending
-                for pid in steal["part_ids"]
-            )
-            for tid, base in watched:
-                count = self.queue.failure_count(tid)
-                seen = failures_counted.get(tid, 0)
+            for base in pending:
+                count = self.queue.failure_count(base)
+                seen = failures_counted.get(base, 0)
                 if count > seen:
-                    failures_counted[tid] = count
+                    failures_counted[base] = count
                     report.attempts += count - seen
                     report.retries += min(count, self.policy.max_attempts - 1) - min(
                         seen, self.policy.max_attempts - 1
                     )
                 if count >= self.policy.max_attempts:
                     report.failures += 1
-                    last = self.queue.last_failure(tid) or "unknown error"
+                    last = self.queue.last_failure(base) or "unknown error"
                     raise JobError(
-                        f"job {pending[base]} ({tid}) failed on {count} "
+                        f"job {pending[base]} ({base}) failed on {count} "
                         f"distributed attempt(s); last failure: {last}",
                         job=jobs[pending[base]],
                         attempts=count,
@@ -387,18 +260,8 @@ class DistributedExecutor:
             # suspend/resume mid-wait can neither spuriously expire a
             # healthy lease nor immortalize a dead one.  A renewal
             # writes a fresh stamp, which re-converts.
-            active_parts = {
-                pid
-                for base, steal in steals.items()
-                if base in pending
-                for pid in steal["part_ids"]
-            }
             for lease in self.queue.leases(self.lease_ttl):
-                base = base_task_id(lease.task_id)
-                # A stolen part's id contains no "~", so its base is
-                # itself — track it like a first-class task so a worker
-                # dying mid-part still gets its lease reclaimed.
-                if base not in pending and base not in active_parts:
+                if base_task_id(lease.task_id) not in pending:
                     lease_deadlines.pop(lease.task_id, None)
                     continue
                 known = lease_deadlines.get(lease.task_id)
@@ -431,18 +294,11 @@ class DistributedExecutor:
                     base = base_task_id(tid)
                     if base not in pending or base in spec_issued:
                         continue
-                    if _SPEC_MARK in tid or _PART_MARK in tid:
-                        continue  # never speculate on a rescue dispatch
+                    if _SPEC_MARK in tid:
+                        continue  # never speculate on a twin
                     if now - started <= threshold:
                         continue
                     spec_issued.add(base)
-                    if self._try_steal(jobs[pending[base]], base, steals):
-                        logger.warning(
-                            "task %s still running after %.2fs (median "
-                            "%.2fs); stole its un-started tail",
-                            tid, now - started, median,
-                        )
-                        continue
                     report.speculations += 1
                     logger.warning(
                         "task %s still running after %.2fs (median %.2fs); "

@@ -1,10 +1,7 @@
 """Supervised, fault-tolerant execution of runner jobs.
 
-:class:`~repro.runner.batch.BatchRunner` used to drive its worker pool
-with a single ``pool.map`` call: one worker OOM/segfault raised
-``BrokenProcessPool`` and destroyed the whole sweep, a hung job stalled
-it forever, and there was no retry story at all. This module replaces
-that dispatch with a :class:`SupervisedExecutor` that submits jobs
+:class:`SupervisedExecutor` is the one local dispatcher behind
+:class:`~repro.runner.batch.BatchRunner`'s worker pool. It submits jobs
 individually and tracks each future:
 
 * **per-job timeouts** — submissions are capped at the pool's worker
@@ -15,8 +12,9 @@ individually and tracks each future:
   cannot burn their wall-clock budget waiting for a worker. A hung
   worker cannot be cancelled, so an expired deadline kills the pool's
   processes outright and resubmits the surviving in-flight jobs; the
-  timed-out job retries against its bounded attempt count, and the kill
-  counts against the pool-respawn budget like any other break.
+  timed-out job retries whole against its bounded attempt count, and
+  the kill counts against the pool-respawn budget like any other break.
+  That whole-job retry is the local pool's only tail rescue.
 * **retry with exponential backoff** — failed or timed-out jobs are
   re-submitted after ``backoff_base * backoff_factor**(attempt-1)``
   seconds. Retries are free and safe because every job is a pure
@@ -37,9 +35,9 @@ individually and tracks each future:
   killing it.
 
 Results keep the BatchRunner ordering contract — ``results[i]`` is the
-outcome of ``jobs[i]`` — and are bit-identical to the old ``pool.map``
-path (pinned by ``tests/runner/test_resilience.py``). Every recovery
-event is counted in a structured :class:`RunReport` threaded through the
+outcome of ``jobs[i]`` — and are bit-identical to inline execution
+(pinned by ``tests/runner/test_resilience.py``). Every recovery event is
+counted in a structured :class:`RunReport` threaded through the
 experiment drivers and the CLI, so sweeps report how much fault handling
 they needed.
 """
@@ -54,7 +52,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -126,10 +124,9 @@ class RetryPolicy:
         Per-job wall-clock budget in seconds, measured from submission
         — which coincides with the job starting, because the executor
         caps in-flight submissions at the worker count. ``None``
-        disables deadline tracking (a hung worker then blocks forever,
-        as the old ``pool.map`` path did). Heavy jobs (``job.heavy`` —
-        whole screen ladders, continuation bundles) get ``timeout *
-        heavy_timeout_factor``.
+        disables deadline tracking (a hung worker then blocks its batch
+        forever). Heavy jobs (``job.heavy`` — whole screen ladders,
+        continuation bundles) get ``timeout * heavy_timeout_factor``.
     max_pool_respawns:
         Pool breakages tolerated within one batch before the executor
         degrades to inline execution for the remaining jobs.
@@ -186,6 +183,12 @@ class RetryPolicy:
         return max(0.0, delay)
 
 
+#: RunReport fields that size a run rather than count a recovery event
+_VOLUME_FIELDS = frozenset(
+    {"jobs", "batches", "attempts", "enqueued", "wall_seconds", "job_seconds"}
+)
+
+
 @dataclass
 class RunReport:
     """Structured account of how much fault handling a run needed.
@@ -193,7 +196,9 @@ class RunReport:
     Counters accumulate across every batch executed through one
     :class:`~repro.runner.batch.BatchRunner` (inline and pooled alike);
     ``job_seconds`` records the per-job wall clock of each completed job
-    (successful attempt only, submission to completion).
+    (successful attempt only, submission to completion).  ``merge``,
+    ``as_dict`` and ``eventful`` walk the dataclass fields, so a new
+    counter needs no other edit.
     """
 
     jobs: int = 0
@@ -215,12 +220,6 @@ class RunReport:
     #: batches (or batch remainders) degraded from the worker fleet to
     #: the local supervised path (empty fleet, dark fleet, stall)
     local_fallbacks: int = 0
-    #: straggling remote bundles whose un-started tail was stolen into
-    #: fresh sub-tasks (see DistributedExecutor)
-    steals: int = 0
-    #: timed-out local bundles re-split across the pool instead of
-    #: retried whole (see SupervisedExecutor._check_deadlines)
-    split_rescues: int = 0
     wall_seconds: float = 0.0
     job_seconds: List[float] = field(default_factory=list)
 
@@ -228,19 +227,8 @@ class RunReport:
     def eventful(self) -> bool:
         """True when any recovery machinery fired (a fault-free run of a
         healthy pool is not eventful)."""
-        return bool(
-            self.retries
-            or self.timeouts
-            or self.failures
-            or self.pool_respawns
-            or self.inline_fallbacks
-            or self.cache_fallbacks
-            or self.lease_reclaims
-            or self.speculations
-            or self.local_fallbacks
-            or self.steals
-            or self.split_rescues
-        )
+        events = (f.name for f in fields(self) if f.name not in _VOLUME_FIELDS)
+        return any(getattr(self, name) for name in events)
 
     def absorb_worker_stats(self, stats: Optional[Dict[str, int]]) -> None:
         """Fold one worker execution's side-band counters (currently the
@@ -249,46 +237,26 @@ class RunReport:
             self.cache_fallbacks += int(stats.get("cache_fallbacks", 0))
 
     def merge(self, other: "RunReport") -> None:
-        self.jobs += other.jobs
-        self.batches += other.batches
-        self.attempts += other.attempts
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.failures += other.failures
-        self.pool_respawns += other.pool_respawns
-        self.inline_fallbacks += other.inline_fallbacks
-        self.cache_fallbacks += other.cache_fallbacks
-        self.enqueued += other.enqueued
-        self.lease_reclaims += other.lease_reclaims
-        self.speculations += other.speculations
-        self.local_fallbacks += other.local_fallbacks
-        self.steals += other.steals
-        self.split_rescues += other.split_rescues
-        self.wall_seconds += other.wall_seconds
-        self.job_seconds.extend(other.job_seconds)
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, list):
+                mine.extend(getattr(other, f.name))
+            else:
+                setattr(self, f.name, mine + getattr(other, f.name))
 
     def as_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "batches": self.batches,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "pool_respawns": self.pool_respawns,
-            "inline_fallbacks": self.inline_fallbacks,
-            "cache_fallbacks": self.cache_fallbacks,
-            "enqueued": self.enqueued,
-            "lease_reclaims": self.lease_reclaims,
-            "speculations": self.speculations,
-            "local_fallbacks": self.local_fallbacks,
-            "steals": self.steals,
-            "split_rescues": self.split_rescues,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "job_seconds_total": round(sum(self.job_seconds), 3),
-            "job_seconds_max": round(max(self.job_seconds, default=0.0), 3),
-            "job_seconds": [round(s, 4) for s in self.job_seconds],
-        }
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                out[f"{f.name}_total"] = round(sum(value), 3)
+                out[f"{f.name}_max"] = round(max(value, default=0.0), 3)
+                out[f.name] = [round(s, 4) for s in value]
+            elif isinstance(value, float):
+                out[f.name] = round(value, 3)
+            else:
+                out[f.name] = value
+        return out
 
     def describe(self) -> str:
         """One-line summary for sweep footers and logs."""
@@ -300,15 +268,12 @@ class RunReport:
             f"{self.cache_fallbacks} cache fallbacks, "
             f"{self.failures} hard failures"
         )
-        if self.split_rescues:
-            line += f", {self.split_rescues} split rescues"
         if self.enqueued or self.lease_reclaims or self.speculations \
-                or self.local_fallbacks or self.steals:
+                or self.local_fallbacks:
             line += (
                 f"; distributed: {self.enqueued} enqueued, "
                 f"{self.lease_reclaims} lease reclaims, "
                 f"{self.speculations} speculative re-dispatches, "
-                f"{self.steals} steals, "
                 f"{self.local_fallbacks} local fallbacks"
             )
         return line
@@ -316,33 +281,12 @@ class RunReport:
 
 @dataclass
 class _Flight:
-    """One in-flight submission.
+    """One in-flight submission of the job at batch position ``index``."""
 
-    ``index`` is the job's position in the batch — or, for a sub-bundle
-    of a re-split timed-out bundle, a ``(position, part)`` pair (see
-    :class:`_SplitState`)."""
-
-    index: object
+    index: int
     attempt: int
     started: float
     deadline: Optional[float]
-
-
-@dataclass
-class _SplitState:
-    """A timed-out bundle re-split across the pool.
-
-    ``parts`` are the contiguous sub-bundles of
-    :func:`~repro.runner.continuation.split_bundle`; when every slot of
-    ``results`` has landed, their concatenation (part order) is the
-    bit-identical unsplit result tuple."""
-
-    parts: List
-    results: List
-    remaining: int
-    #: the attempt number the parts inherit — the split *is* the
-    #: bundle's retry, so the total budget stays bounded by max_attempts
-    attempt: int
 
 
 class _BatchState:
@@ -352,14 +296,11 @@ class _BatchState:
         self.results: List = [None] * n
         self.done: List[bool] = [False] * n
         self.remaining = n
-        #: (index, attempt) pairs awaiting submission (``index`` as in
-        #: :class:`_Flight`: batch position, or a (position, part) pair)
+        #: (index, attempt) pairs awaiting submission
         self.queue: deque = deque((i, 1) for i in range(n))
         #: min-heap of (ready_time, seq, index, attempt) backoff timers
-        self.retries: List[Tuple[float, int, object, int]] = []
+        self.retries: List[Tuple[float, int, int, int]] = []
         self.inflight: Dict[object, _Flight] = {}
-        #: batch position -> in-progress re-split of a timed-out bundle
-        self.splits: Dict[int, _SplitState] = {}
         self.pool_breaks = 0
         self.seq = itertools.count()
 
@@ -493,12 +434,7 @@ class SupervisedExecutor:
             if cap is not None and len(st.inflight) >= max(1, cap):
                 return
             i, attempt = st.queue[0]
-            job = self._job_for(jobs, st, i)
-            if job is None:
-                # A part of a split that was since discarded (inline
-                # degradation) or whose bundle already completed.
-                st.queue.popleft()
-                continue
+            job = jobs[i]
             try:
                 fut = pool.submit(self._worker_fn, job)
             except BrokenExecutor:
@@ -513,33 +449,6 @@ class SupervisedExecutor:
             self.report.attempts += 1
             if attempt > 1:
                 self.report.retries += 1
-
-    # -- split-rescue plumbing ---------------------------------------------
-    #
-    # A timed-out continuation bundle can be re-split across the pool
-    # (see _check_deadlines): its sub-bundles travel the normal queue/
-    # retry/inflight machinery under (position, part) refs instead of a
-    # bare batch position.  These helpers resolve either shape.
-
-    @staticmethod
-    def _job_for(jobs: List, st: _BatchState, ref):
-        """The job object behind a queue/flight ref (None when the ref
-        points at a discarded split or an already-done slot)."""
-        if isinstance(ref, int):
-            return None if st.done[ref] else jobs[ref]
-        i, p = ref
-        split = st.splits.get(i)
-        if split is None or st.done[i] or split.results[p] is not None:
-            return None
-        return split.parts[p]
-
-    @staticmethod
-    def _ref_done(st: _BatchState, ref) -> bool:
-        if isinstance(ref, int):
-            return st.done[ref]
-        i, p = ref
-        split = st.splits.get(i)
-        return st.done[i] or split is None or split.results[p] is not None
 
     def _wait_timeout(self, st: _BatchState) -> Optional[float]:
         bounds = [
@@ -564,7 +473,7 @@ class SupervisedExecutor:
         broken = False
         for fut in finished:
             fl = st.inflight.pop(fut, None)
-            if fl is None or self._ref_done(st, fl.index):
+            if fl is None or st.done[fl.index]:
                 continue
             try:
                 value = fut.result()
@@ -584,36 +493,18 @@ class SupervisedExecutor:
 
     def _record_success(self, st: _BatchState, fl: _Flight, value) -> None:
         result, stats = value
-        if isinstance(fl.index, int):
-            st.results[fl.index] = result
-            st.done[fl.index] = True
-            st.remaining -= 1
-        else:
-            i, p = fl.index
-            split = st.splits.get(i)
-            if split is not None and not st.done[i]:
-                split.results[p] = result
-                split.remaining -= 1
-                if split.remaining == 0:
-                    # Contiguous split: concatenation in part order is
-                    # the bit-identical unsplit bundle result.
-                    joined: List = []
-                    for part_result in split.results:
-                        joined.extend(part_result)
-                    st.results[i] = tuple(joined)
-                    st.done[i] = True
-                    st.remaining -= 1
-                    del st.splits[i]
+        st.results[fl.index] = result
+        st.done[fl.index] = True
+        st.remaining -= 1
         self.report.job_seconds.append(time.monotonic() - fl.started)
         self.report.absorb_worker_stats(stats)
 
     def _record_failure(self, jobs, st: _BatchState, fl: _Flight, exc) -> None:
         if fl.attempt >= self.policy.max_attempts:
             self.report.failures += 1
-            failed_job = self._job_for(jobs, st, fl.index)
             raise JobError(
                 f"job {fl.index} failed after {fl.attempt} attempts: {exc!r}",
-                job=failed_job,
+                job=jobs[fl.index],
                 attempts=fl.attempt,
             ) from exc
         delay = self.policy.backoff_for(fl.attempt, rng=self._rng)
@@ -636,7 +527,7 @@ class SupervisedExecutor:
         futures that never finished with no attempt penalty (the
         breakage is the pool's fault, not theirs)."""
         for fut, fl in list(st.inflight.items()):
-            if self._ref_done(st, fl.index):
+            if st.done[fl.index]:
                 continue
             if not fut.done() or fut.cancelled():
                 st.queue.append((fl.index, fl.attempt))
@@ -703,7 +594,7 @@ class SupervisedExecutor:
                 continue
             hung = True
             self.report.timeouts += 1
-            timed_out = self._job_for(jobs, st, fl.index)
+            timed_out = jobs[fl.index]
             budget = self.policy.timeout_for(timed_out)
             if fl.attempt >= self.policy.max_attempts:
                 self.report.failures += 1
@@ -714,23 +605,8 @@ class SupervisedExecutor:
                     attempts=fl.attempt,
                 )
             delay = self.policy.backoff_for(fl.attempt, rng=self._rng)
-            split = self._try_split(jobs, st, fl)
-            if split:
-                logger.warning(
-                    "bundle %s attempt %d exceeded its %.1fs budget; "
-                    "killing the pool and re-splitting into %d sub-bundles "
-                    "(retrying in %.2fs)",
-                    fl.index, fl.attempt, budget, split, delay,
-                )
-                for p in range(split):
-                    heapq.heappush(
-                        st.retries,
-                        (now + delay, next(st.seq), (fl.index, p),
-                         fl.attempt + 1),
-                    )
-                continue
             logger.warning(
-                "job %s attempt %d exceeded its %.1fs budget; killing the "
+                "job %d attempt %d exceeded its %.1fs budget; killing the "
                 "pool and retrying in %.2fs",
                 fl.index,
                 fl.attempt,
@@ -751,64 +627,17 @@ class SupervisedExecutor:
         # repeatedly.
         self._recover_pool_break(jobs, st)
 
-    def _try_split(self, jobs: List, st: _BatchState, fl: _Flight) -> int:
-        """Re-split a timed-out continuation bundle across the pool.
-
-        Returns the part count (0 = not splittable; the caller falls
-        back to the whole-bundle retry).  The parts inherit the
-        bundle's next attempt number — the split *is* its retry — and a
-        part that times out again retries whole (parts never re-split).
-        ``REPRO_SPLIT_RETRY=0`` disables the rescue."""
-        if not isinstance(fl.index, int):
-            return 0  # never re-split a part
-        if fl.index in st.splits:
-            return 0
-        if _env_int("REPRO_SPLIT_RETRY", 1) <= 0:
-            return 0
-        from repro.runner.continuation import ContinuationJob, split_bundle
-
-        job = jobs[fl.index]
-        if not isinstance(job, ContinuationJob) or len(job.runs) < 2:
-            return 0
-        cap = self._max_inflight if self._max_inflight else 2
-        parts = split_bundle(job, max(2, cap))
-        if len(parts) < 2:
-            return 0
-        st.splits[fl.index] = _SplitState(
-            parts=parts,
-            results=[None] * len(parts),
-            remaining=len(parts),
-            attempt=fl.attempt + 1,
-        )
-        self.report.split_rescues += 1
-        return len(parts)
-
     def _drain_inline(self, jobs: List, st: _BatchState) -> None:
         """Degraded path: run the unfinished jobs in the parent under the
         same retry budget and :class:`JobError` failure contract as the
         supervised pool path (only deadlines are gone — an inline job
-        cannot be reclaimed).  In-progress splits are discarded — their
-        bundles re-run whole (partial part results are only wasted work;
-        bit-identity is untouched) at the attempt number the split
-        inherited."""
+        cannot be reclaimed)."""
         # Carry each job's attempt count over so the total budget stays
-        # bounded by max_attempts across both execution paths.  Part
-        # refs ((position, part) pairs) fold back into their bundle.
-        attempts: Dict[int, int] = {}
-
-        def note(ref, a: int) -> None:
-            i = ref if isinstance(ref, int) else ref[0]
-            attempts[i] = max(attempts.get(i, a), a)
-
-        for ref, a in st.queue:
-            note(ref, a)
-        for _, _, ref, a in st.retries:
-            note(ref, a)
-        for i, split in st.splits.items():
-            note(i, split.attempt)
+        # bounded by max_attempts across both execution paths.
+        attempts: Dict[int, int] = {i: a for i, a in st.queue}
+        attempts.update((i, a) for _, _, i, a in st.retries)
         st.queue.clear()
         st.retries.clear()
-        st.splits.clear()
         for i, job in enumerate(jobs):
             if st.done[i]:
                 continue

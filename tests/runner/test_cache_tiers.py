@@ -150,7 +150,6 @@ def test_kv_backend_round_trip(sim_job):
     result = sim_job.execute()
     cache.put(sim_job, result)
     assert cache.get(sim_job) == result
-    assert cache.contains(sim_job)
     assert len(cache) == 1
     assert cache.stats()["entries"] == 1
     # Same bytes under the same key as the filesystem layout would store.

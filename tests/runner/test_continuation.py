@@ -8,6 +8,7 @@ one-job-per-run scheduler used to dispatch.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.simulation import run_simulation
 from repro.experiments.performance import (
@@ -21,6 +22,7 @@ from repro.runner.continuation import (
     ContinuationJob,
     ContinuationRun,
     plan_bundles,
+    unbundle_results,
 )
 from repro.workloads.definitions import get_workload
 
@@ -57,6 +59,28 @@ def test_bundles_partition_the_plan_exactly(n_runs, bundle_count):
 def test_bundle_count_must_be_positive():
     with pytest.raises(ValueError):
         plan_bundles([_run(0)], 0)
+
+
+def _runs(n):
+    """n cheap, pairwise-distinct runs (the seed is the identity)."""
+    return tuple(
+        ContinuationRun(
+            config="M8",
+            benchmarks=("gzip", "twolf"),
+            mapping=(0, 0),
+            commit_target=200,
+            seed=i,
+        )
+        for i in range(n)
+    )
+
+
+@given(n=st.integers(0, 30), bundles=st.integers(1, 10))
+def test_plan_unbundle_round_trip(n, bundles):
+    runs = _runs(n)
+    jobs = plan_bundles(runs, bundles)
+    fake = [tuple(run.seed for run in job.runs) for job in jobs]
+    assert unbundle_results(fake, n) == [run.seed for run in runs]
 
 
 # ------------------------------------------------- execution bit-identity

@@ -236,47 +236,6 @@ def test_acceptance_sweep_under_combined_chaos(dist_env,
     assert "lease reclaims" in report.describe()
 
 
-def test_straggler_bundle_tail_is_stolen(dist_env, monkeypatch):
-    """Forced-straggler steal: continuation bundles on a two-worker
-    fleet, one execution hangs past the straggler deadline.  With the
-    shared cache wired in, the front end steals the hung bundle's
-    un-started tail into fresh sub-tasks instead of dispatching a whole
-    twin — and the sweep stays byte-identical with zero failures."""
-    from repro.runner.continuation import ContinuationJob, ContinuationRun
-
-    runs = tuple(
-        ContinuationRun("M8", ("gzip", "twolf"), (0, 0), 400, seed=300 + i)
-        for i in range(12)
-    )
-    bundles = [
-        ContinuationJob(runs=runs[i:i + 2]) for i in range(0, 12, 2)
-    ]
-    with BatchRunner(workers=1, trace_store=False) as local:
-        reference = local.run(bundles)
-
-    qdir = dist_env / "q"
-    plan = [{"match": "", "op": "hang", "executions": [4],
-             "scope": "worker", "hang_seconds": 8.0}]
-    with BatchRunner(workers=2, queue_dir=qdir,
-                     cache_dir=dist_env / "steal-cache") as runner:
-        procs = _spawn_workers(qdir, 2, plan=plan,
-                               state=dist_env / "fault-state")
-        try:
-            _wait_for_fleet(qdir, 2)
-            results = runner.run(bundles)
-            report = runner.report
-        finally:
-            _stop_fleet(qdir, procs)
-    assert results == reference
-    flat = [r for bundle in results for r in bundle]
-    flat_ref = [r for bundle in reference for r in bundle]
-    assert _canonical_bytes(flat) == _canonical_bytes(flat_ref)
-    assert report.steals >= 1
-    assert report.failures == 0
-    assert report.local_fallbacks == 0
-    assert "steals" in report.describe()
-
-
 def test_whole_fleet_dying_degrades_to_local(dist_env, monkeypatch,
                                              reference_results):
     """Both workers die on their first executions: the fleet goes dark

@@ -366,62 +366,3 @@ def test_stale_lease_rule_returned_to_worker_context_only(
     assert directive is not None
     assert directive.op == "stale_lease"
     assert directive.hang_seconds == 0.5
-
-
-def test_hung_bundle_is_resplit_across_the_pool(fault_env):
-    """A continuation bundle that hangs past its budget is re-split into
-    sub-bundles across the idle workers instead of being retried whole —
-    byte-identical results, and the rescue shows up in the report."""
-    from repro.runner.continuation import ContinuationJob, ContinuationRun
-
-    runs = tuple(
-        ContinuationRun("M8", ("gzip", "twolf"), (0, 0), 400, seed=150 + i)
-        for i in range(8)
-    )
-    bundles = [ContinuationJob(runs=runs[:4]), ContinuationJob(runs=runs[4:])]
-    with BatchRunner(workers=2, trace_store=False) as runner:
-        reference = runner.run(bundles)
-
-    arm = fault_env
-    # The first execution that touches run seed=150 is the whole first
-    # bundle; it hangs far past the 2s budget, gets killed, and its
-    # sub-bundles (which re-match the rule but draw later ordinals)
-    # run clean.
-    arm([{"match": "seed=150", "op": "hang", "executions": [1],
-          "hang_seconds": 60.0}])
-    policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=2.0
-    )
-    with BatchRunner(workers=2, trace_store=False, policy=policy) as runner:
-        results = runner.run(bundles)
-        report = runner.report
-    assert results == reference
-    assert report.split_rescues >= 1
-    assert report.timeouts >= 1
-    assert report.failures == 0
-    assert "split rescues" in report.describe()
-
-
-def test_resplit_disabled_retries_whole(fault_env, monkeypatch):
-    """REPRO_SPLIT_RETRY=0 keeps the legacy whole-bundle retry."""
-    from repro.runner.continuation import ContinuationJob, ContinuationRun
-
-    monkeypatch.setenv("REPRO_SPLIT_RETRY", "0")
-    runs = tuple(
-        ContinuationRun("M8", ("gzip", "twolf"), (0, 0), 400, seed=160 + i)
-        for i in range(4)
-    )
-    bundles = [ContinuationJob(runs=runs[:2]), ContinuationJob(runs=runs[2:])]
-    arm = fault_env
-    arm([{"match": "seed=160", "op": "hang", "executions": [1],
-          "hang_seconds": 60.0}])
-    policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=2.0
-    )
-    with BatchRunner(workers=2, trace_store=False, policy=policy) as runner:
-        results = runner.run(bundles)
-        report = runner.report
-    assert [len(r) for r in results] == [2, 2]
-    assert report.split_rescues == 0
-    assert report.timeouts >= 1
-    assert report.failures == 0

@@ -1,7 +1,8 @@
-"""Supervised dispatch: equivalence with the legacy pool.map path,
+"""Supervised dispatch: equivalence with inline execution,
 policy/report plumbing, submission/deadline/salvage semantics, Ctrl-C
 behaviour, lifecycle hygiene."""
 
+import dataclasses
 import logging
 import time
 from concurrent.futures import BrokenExecutor, Future
@@ -22,18 +23,16 @@ from repro.runner.resilience import JobError, _BatchState, _Flight
 # ---------------------------------------------------------------- equivalence
 
 
-def test_supervised_matches_pool_map_and_inline(sim_jobs):
-    """The tentpole contract: the supervised per-job-future path returns
-    bit-identical, identically ordered results to both the old pool.map
-    dispatch and plain inline execution."""
+def test_supervised_matches_inline(sim_jobs):
+    """The core contract: the supervised per-job-future path returns
+    bit-identical, identically ordered results to plain inline
+    execution."""
     with BatchRunner(workers=1, trace_store=False) as seq:
         inline = seq.run(sim_jobs)
-    with BatchRunner(workers=2, trace_store=False) as legacy:
-        pool_map = legacy._run_pool_map(sim_jobs)
     with BatchRunner(workers=2, trace_store=False) as sup:
         supervised = sup.run(sim_jobs)
         report = sup.report
-    assert supervised == pool_map == inline
+    assert supervised == inline
     assert [r.mapping for r in supervised] == [j.mapping for j in sim_jobs]
     # A healthy run is not eventful, and accounting is exact.
     assert not report.eventful
@@ -450,3 +449,26 @@ def test_run_report_distributed_counters_round_trip():
     assert "1 local fallbacks" in text
     # Purely-local reports keep the legacy one-liner.
     assert "lease" not in RunReport(jobs=5, attempts=5).describe()
+
+
+#: RunReport fields that size a run; every other field counts an event.
+_VOLUME = {"jobs", "batches", "attempts", "enqueued", "wall_seconds", "job_seconds"}
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunReport), ids=lambda f: f.name)
+def test_run_report_is_derived_from_its_fields(f):
+    """merge/as_dict/eventful cover every field with no hand-kept list."""
+    if f.name == "job_seconds":
+        a, b = RunReport(job_seconds=[0.5]), RunReport(job_seconds=[0.25])
+        a.merge(b)
+        assert a.job_seconds == [0.5, 0.25]
+        d = a.as_dict()
+        assert d["job_seconds"] == [0.5, 0.25]
+        assert d["job_seconds_total"] == 0.75
+        assert d["job_seconds_max"] == 0.5
+    else:
+        a, b = RunReport(**{f.name: 2}), RunReport(**{f.name: 3})
+        a.merge(b)
+        assert getattr(a, f.name) == 5
+        assert a.as_dict()[f.name] == 5
+    assert a.eventful == (f.name not in _VOLUME)
