@@ -25,8 +25,7 @@ Three policies are reproduced:
 from __future__ import annotations
 
 import random
-from itertools import product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.config import MicroarchConfig
 
@@ -34,6 +33,8 @@ __all__ = [
     "Mapping",
     "heuristic_mapping",
     "enumerate_mappings",
+    "scan_mappings",
+    "select_mappings",
     "count_mappings",
     "mapping_contexts_ok",
     "canonical_mapping",
@@ -160,6 +161,101 @@ def _wasteful(config: MicroarchConfig, mapping: Sequence[int]) -> bool:
     return False
 
 
+#: One oracle candidate: ``(canonical key, mapping)``.
+Candidate = Tuple[Tuple, Mapping]
+
+
+def _fitting_assignments(
+    config: MicroarchConfig, num_threads: int
+) -> Iterator[Mapping]:
+    """Every assignment :func:`mapping_contexts_ok` accepts, in
+    :func:`itertools.product` order: a depth-first walk that never
+    descends into a pipeline whose contexts are full."""
+    if config.is_monolithic:
+        caps = [config.contexts_for(num_threads)]
+    else:
+        caps = [p.contexts for p in config.pipelines]
+    loads = [0] * len(caps)
+    assignment = [0] * num_threads
+
+    def walk(t: int) -> Iterator[Mapping]:
+        if t == num_threads:
+            yield tuple(assignment)
+            return
+        for p, cap in enumerate(caps):
+            if loads[p] < cap:
+                loads[p] += 1
+                assignment[t] = p
+                yield from walk(t + 1)
+                loads[p] -= 1
+
+    return walk(0)
+
+
+def scan_mappings(
+    config: MicroarchConfig, num_threads: int, include_wasteful: bool = False
+) -> List[Candidate]:
+    """The oracle's candidate scan: one mapping per canonical class.
+
+    Walks the assignments that fit the contexts in
+    :func:`itertools.product` order, drops dominated ones (unless
+    ``include_wasteful``), and pairs the first of each
+    :func:`canonical_mapping` class with its key. This is the expensive
+    half of :func:`enumerate_mappings` and depends only on its three
+    arguments, so a sweep over many workloads scans each (config, thread
+    count) once and hands the list to :func:`select_mappings` per
+    workload.
+    """
+    seen = set()
+    scan: List[Candidate] = []
+    for assignment in _fitting_assignments(config, num_threads):
+        if not include_wasteful and _wasteful(config, assignment):
+            continue
+        key = canonical_mapping(config, assignment)
+        if key in seen:
+            continue
+        seen.add(key)
+        scan.append((key, assignment))
+    return scan
+
+
+def select_mappings(
+    config: MicroarchConfig,
+    num_threads: int,
+    scan: Sequence[Candidate],
+    max_mappings: int | None = None,
+    seed: int = 0,
+    must_include: Iterable[Mapping] = (),
+) -> List[Mapping]:
+    """The oracle's mapping list from a :func:`scan_mappings` scan.
+
+    ``must_include`` mappings come first (one per class), then the scan's
+    mappings whose class they do not already cover, in scan order. When
+    that exceeds ``max_mappings`` a deterministic sample is returned that
+    still contains every ``must_include`` mapping (so the oracle is never
+    worse than the heuristic it brackets).
+    """
+    forced: List[Mapping] = []
+    forced_keys = set()
+    # must_include mappings are honored unconditionally: the paper's
+    # heuristic can produce a dominated mapping for thread counts the
+    # paper never uses (e.g. 3 threads on 3M4 share a pipeline while one
+    # sits empty), and the oracle must still bracket it.
+    for m in must_include:
+        if not mapping_contexts_ok(config, m):
+            raise ValueError(f"must_include mapping {m} violates contexts")
+        key = canonical_mapping(config, m)
+        if key not in forced_keys:
+            forced_keys.add(key)
+            forced.append(tuple(m))
+    pool = [m for key, m in scan if key not in forced_keys]
+    if max_mappings is not None and len(forced) + len(pool) > max_mappings:
+        rng = random.Random(f"mappings:{config.name}:{num_threads}:{seed}")
+        take = max(0, max_mappings - len(forced))
+        pool = rng.sample(pool, min(take, len(pool)))
+    return forced + pool
+
+
 def enumerate_mappings(
     config: MicroarchConfig,
     num_threads: int,
@@ -172,45 +268,16 @@ def enumerate_mappings(
 
     Candidate assignments are filtered by context capacity, deduplicated
     by :func:`canonical_mapping`, and (unless ``include_wasteful``)
-    dominated mappings are dropped. When the distinct count exceeds
-    ``max_mappings`` a deterministic sample is returned that always
-    contains every mapping in ``must_include`` (so the oracle is never
-    worse than the heuristic it brackets).
+    dominated mappings are dropped (:func:`scan_mappings`). When the
+    distinct count exceeds ``max_mappings`` a deterministic sample is
+    returned that always contains every mapping in ``must_include``
+    (:func:`select_mappings`).
     """
     if config.is_monolithic:
         return [(0,) * num_threads]
-    n_pipes = len(config.pipelines)
-    seen = set()
-    result: List[Mapping] = []
-    # must_include mappings are honored unconditionally: the paper's
-    # heuristic can produce a dominated mapping for thread counts the
-    # paper never uses (e.g. 3 threads on 3M4 share a pipeline while one
-    # sits empty), and the oracle must still bracket it.
-    for m in must_include:
-        if not mapping_contexts_ok(config, m):
-            raise ValueError(f"must_include mapping {m} violates contexts")
-        key = canonical_mapping(config, m)
-        if key not in seen:
-            seen.add(key)
-            result.append(tuple(m))
-    forced_count = len(result)
-    for assignment in product(range(n_pipes), repeat=num_threads):
-        if not mapping_contexts_ok(config, assignment):
-            continue
-        if not include_wasteful and _wasteful(config, assignment):
-            continue
-        key = canonical_mapping(config, assignment)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append(tuple(assignment))
-    if max_mappings is not None and len(result) > max_mappings:
-        rng = random.Random(f"mappings:{config.name}:{num_threads}:{seed}")
-        forced = result[:forced_count]
-        pool = result[forced_count:]
-        take = max(0, max_mappings - forced_count)
-        result = forced + rng.sample(pool, min(take, len(pool)))
-    return result
+    scan = scan_mappings(config, num_threads, include_wasteful)
+    return select_mappings(config, num_threads, scan, max_mappings, seed,
+                           must_include)
 
 
 def count_mappings(

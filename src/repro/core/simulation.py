@@ -49,7 +49,7 @@ def resolve_trace_triples(
     instance namespace (repeated benchmarks get distinct instances; the
     seed shifts the whole workload into a disjoint namespace). Shared by
     :func:`resolve_traces` and the runner jobs' pre-pack bookkeeping so
-    the parent packs exactly the traces workers will look up.
+    the runner packs exactly the traces workers will look up.
     """
     seen: Dict[str, int] = {}
     triples: List[Tuple[str, int, int]] = []

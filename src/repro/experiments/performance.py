@@ -17,13 +17,26 @@ The oracle search is two-phase for tractability: every distinct mapping
 argmax/argmin are re-simulated at full length. Results are memoized per
 process so Fig. 4, Fig. 5 and the headline summary share one sweep.
 
-Scheduling: the sweep plans every (configuration, workload) pair first
-and executes two *cross-pair* batches — all pairs' screens, then all
-pairs' remaining full-length runs — through a
-:class:`~repro.runner.batch.BatchRunner`, so the worker pool stays
-saturated to the tail of the sweep instead of draining at every pair
-boundary. In exact mode the candidate screens of *all* pairs are packed
-into worker-count-sized :class:`~repro.runner.continuation.
+Scheduling: a sweep runs in four phases, every one that can keep the
+worker pool busy running through a :class:`~repro.runner.batch.
+BatchRunner`:
+
+1. **profile** — the §2.1 profile pass (:func:`~repro.trace.profiling.
+   profile_benchmark`) of every benchmark the sweep's heuristic needs,
+   as one batch of :class:`~repro.trace.profiling.ProfileJob`;
+2. **plan** — in the parent, every (configuration, workload) pair gets
+   its heuristic mapping and oracle candidates; the candidate scan
+   (:func:`~repro.core.mapping.scan_mappings`) runs once per
+   (configuration, thread count) and is shared by every workload of
+   that size;
+3. **screen** and 4. **full length** — two *cross-pair* batches: all
+   pairs' screens, then all pairs' remaining full-length runs. Before
+   each batch the runner packs the traces and computes the warm
+   snapshots it needs, as prep jobs on the same pool.
+
+The pool stays saturated to the tail of the sweep instead of draining
+at every pair boundary. In exact mode the candidate screens of *all*
+pairs are packed into worker-count-sized :class:`~repro.runner.continuation.
 ContinuationJob` bundles (at most ``bundle_count`` jobs instead of one
 job per candidate mapping); in screening mode the batch holds one
 checkpointed ladder job per pair (pair-level granularity — the
@@ -56,7 +69,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.area.model import config_area
 from repro.core.config import STANDARD_CONFIG_NAMES, get_config
-from repro.core.mapping import enumerate_mappings, heuristic_mapping
+from repro.core.mapping import heuristic_mapping, scan_mappings, select_mappings
 from repro.core.simulation import SimResult, default_trace_length
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.metrics.stats import harmonic_mean
@@ -69,7 +82,7 @@ from repro.runner.continuation import (
     unbundle_results,
 )
 from repro.runner.screening import ScreenJob
-from repro.trace.profiling import profile_benchmark
+from repro.trace.profiling import ensure_profiles, profile_benchmark
 from repro.workloads.definitions import WORKLOADS, Workload, get_workload
 
 __all__ = [
@@ -173,8 +186,16 @@ class _PairPlan:
 
 
 def _plan_pair(config_name: str, workload: Workload, scale: ExperimentScale,
-               screening: bool) -> _PairPlan:
-    """Classify a pair and build its screening plan (no simulation)."""
+               screening: bool,
+               scans: Optional[Dict[Tuple[str, int], list]] = None) -> _PairPlan:
+    """Classify a pair and build its screening plan (no simulation).
+
+    ``scans`` memoizes :func:`~repro.core.mapping.scan_mappings` per
+    (configuration, thread count) across the caller's sweep; the pair's
+    candidates are exactly :func:`~repro.core.mapping.enumerate_mappings`'.
+    """
+    if scans is None:
+        scans = {}
     key = _cache_key(config_name, workload.name, scale, screening)
     config = get_config(config_name)
     benchmarks = workload.benchmarks
@@ -182,8 +203,12 @@ def _plan_pair(config_name: str, workload: Workload, scale: ExperimentScale,
     if config.is_monolithic:
         return _PairPlan(config_name, workload, key, single_map=(0,) * n)
     heur_map = heuristic_mapping(config, _profiled_misses(benchmarks))
-    candidates = enumerate_mappings(
-        config, n, max_mappings=scale.max_mappings, must_include=[heur_map]
+    scan = scans.get((config_name, n))
+    if scan is None:
+        scan = scans[(config_name, n)] = scan_mappings(config, n)
+    candidates = select_mappings(
+        config, n, scan, max_mappings=scale.max_mappings,
+        must_include=[heur_map],
     )
     if len(candidates) <= 1:
         return _PairPlan(config_name, workload, key, single_map=heur_map,
@@ -429,11 +454,19 @@ def run_performance_experiment(
                 if w.num_threads > config.contexts_for(w.num_threads):
                     continue  # workload does not fit this configuration
                 pairs.append((cn, w))
-        todo = [
-            _plan_pair(cn, w, scale, screening)
-            for cn, w in pairs
+        pending = [
+            (cn, w) for cn, w in pairs
             if _cache_key(cn, w.name, scale, screening) not in _CACHE
         ]
+        # Profile every benchmark the heuristic will sort on as one batch
+        # (the pool would otherwise idle through the serial pass).
+        ensure_profiles(
+            (b for cn, w in pending if not get_config(cn).is_monolithic
+             for b in w.benchmarks),
+            runner.run,
+        )
+        scans: Dict[Tuple[str, int], list] = {}
+        todo = [_plan_pair(cn, w, scale, screening, scans) for cn, w in pending]
         if todo:
             if progress:  # pragma: no cover - console feedback only
                 print(f"  sweep: {len(todo)} (config, workload) pairs ...",

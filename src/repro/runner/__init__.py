@@ -24,11 +24,11 @@ fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   arguments, never on scheduling, so parallel results equal sequential
   results exactly (asserted by ``tests/runner/test_batch_runner.py``);
 * **shared packed-trace / warm-snapshot store** — before a parallel batch
-  launches, the parent packs every trace the batch needs into a
-  content-addressed store (``REPRO_TRACE_CACHE`` or a private temp dir);
-  workers mmap the packed columns instead of regenerating traces, and the
-  first process to warm a trace set persists the structure snapshot for
-  the others;
+  launches, every trace it needs is packed into a content-addressed
+  store (``REPRO_TRACE_CACHE`` or a private temp dir) and its warm
+  snapshots computed, as prep jobs on the worker pool; workers mmap the
+  packed columns instead of regenerating traces and restore the
+  snapshots instead of warming;
 * **successive-halving screens** — :class:`~repro.runner.screening.
   HalvingScreen` plans staged oracle screening (short windows eliminate
   the middle of the candidate pack before full-window runs), the

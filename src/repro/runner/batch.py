@@ -29,13 +29,19 @@ every request of a long-lived process on one shared runner.  After
 Workers share two content-addressed stores through one directory:
 
 * a :class:`~repro.trace.packed.PackedTraceStore` — before a parallel
-  batch launches, the parent packs every trace the batch needs (each
-  job's :meth:`~repro.runner.jobs.Job.trace_manifest`) into the store,
-  so cold workers mmap the packed buffers instead of re-running
+  batch launches, every trace the batch needs (each job's
+  :meth:`~repro.runner.jobs.Job.trace_manifest`) that the store lacks
+  is generated and packed into it, so cold workers mmap the packed
+  buffers instead of re-running
   :class:`~repro.trace.synthetic.TraceGenerator`;
 * a warm-snapshot store (see :func:`repro.core.engine.set_warm_store`)
-  — the first process to warm a trace set persists the structure state,
-  every other process restores it.
+  — the batch's missing warm snapshots are computed next, so workers
+  restore them instead of warming.
+
+The parent only lists what is missing; the packing and warming run as
+prep jobs on the same inline-or-supervised path as the batch itself, so
+they keep the worker pool busy instead of leaving it idle while the
+parent works (see :meth:`BatchRunner._prepack_traces`).
 
 The store directory defaults to ``REPRO_TRACE_CACHE`` (persistent across
 runs) or, failing that, a private temporary directory cleaned up with the
@@ -48,12 +54,25 @@ import logging
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    ClassVar,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.runner.cache import ResultCache
 from repro.runner.distributed import DistributedExecutor, JobQueue
 from repro.runner.jobs import SimJob
 from repro.runner.resilience import RetryPolicy, RunReport, SupervisedExecutor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.memory.hierarchy import MemoryParams
 
 __all__ = ["BatchRunner", "SimJob", "resolve_workers"]
 
@@ -109,8 +128,9 @@ def _init_worker(cache_dir: Optional[str], store_dir: Optional[str]) -> None:
     gc.disable()
     gc.freeze()
     if store_dir is not None:
-        # Read-only for traces (the parent pre-packed the batch's traces);
-        # read-write for warm snapshots (first warmer persists them).
+        # Read-only for traces (prep jobs pack the batch's traces before
+        # it runs); read-write for warm snapshots (first warmer persists
+        # them).
         from repro.core.engine import set_warm_store
         from repro.trace.stream import set_trace_store
 
@@ -140,6 +160,49 @@ def _execute_job_supervised(job):
     result = job.execute(cache)
     stats = {"cache_fallbacks": cache.corrupt_fallbacks if cache else 0}
     return result, stats
+
+
+@dataclass(frozen=True)
+class _PackTrace:
+    """Prep unit: pack one trace into the shared store (``trace_for``:
+    from this process's memo when it holds the trace, else generated)."""
+
+    store_dir: str
+    triple: Tuple[str, int, int]
+
+    heavy: ClassVar[bool] = True
+
+    def execute(self, cache=None) -> None:
+        from repro.trace.packed import PackedTrace, PackedTraceStore
+        from repro.trace.stream import trace_for
+
+        packed = PackedTrace.from_trace(trace_for(*self.triple))
+        PackedTraceStore(self.store_dir).save(packed, *self.triple)
+
+    def trace_manifest(self) -> Tuple:
+        return ()
+
+
+@dataclass(frozen=True)
+class _WarmSnapshot:
+    """Prep unit: compute one warm snapshot into the shared store (in a
+    pool worker, from the traces the :class:`_PackTrace` units packed)."""
+
+    store_dir: str
+    memory: "MemoryParams"
+    triples: Tuple[Tuple[str, int, int], ...]
+
+    heavy: ClassVar[bool] = True
+
+    def execute(self, cache=None) -> None:
+        from repro.core.engine import ensure_warm_snapshot
+        from repro.trace.stream import trace_for
+
+        traces = [trace_for(*t) for t in self.triples]
+        ensure_warm_snapshot(self.store_dir, self.memory, traces)
+
+    def trace_manifest(self) -> Tuple:
+        return ()
 
 
 class BatchRunner:
@@ -397,49 +460,62 @@ class BatchRunner:
     def _prepack_traces(self, jobs: Sequence) -> None:
         """Pack the batch's traces and warm snapshots into the shared store.
 
-        Distinct traces are generated (or taken from the parent's memo)
-        exactly once, machine-wide: workers mmap the packed buffers and
-        skip :class:`~repro.trace.synthetic.TraceGenerator` entirely. The
-        matching post-warm structure snapshots are precomputed too, so
-        concurrent workers hitting the same workload at the same moment
-        load one snapshot instead of racing to compute identical ones.
-        The needs of a job — whatever its kind — come uniformly from its
-        :meth:`~repro.runner.jobs.Job.trace_manifest`.
+        The parent only works out what is missing — from each job's
+        :meth:`~repro.runner.jobs.Job.trace_manifest`, whatever its kind,
+        with no trace loaded: a trace is missing when the store lacks
+        its file, a warm set when its snapshot path (a function of the
+        triples) does not exist. The missing units then run as ordinary
+        jobs on :meth:`_run_local` — every :class:`_PackTrace` first,
+        then every :class:`_WarmSnapshot`, so warm units read packed
+        traces — inline when there are too few to parallelize, on the
+        supervised pool with its retries otherwise. Distinct traces are
+        generated exactly once, machine-wide: workers mmap the packed
+        buffers and skip :class:`~repro.trace.synthetic.TraceGenerator`,
+        and concurrent workers hitting the same workload load one
+        snapshot instead of racing to compute identical ones. Prep units
+        are not the caller's jobs: only their recovery events reach
+        :attr:`report`.
         """
         if self.store_dir is None:
             return
         from repro.core.config import get_config
-        from repro.core.engine import ensure_warm_snapshot
-        from repro.trace.packed import PackedTrace, PackedTraceStore
-        from repro.trace.stream import _JUNK_LEN, trace_for
+        from repro.core.engine import warm_snapshot_path
+        from repro.trace.packed import PackedTraceStore
+        from repro.trace.stream import _JUNK_LEN
 
+        store_dir = self.store_dir
         store: Optional[PackedTraceStore] = None
-        packed_triples = self._packed_triples
-        warm_sets = {}
+        packs = {}
+        warms = {}
         for job in jobs:
             for unit in job.trace_manifest():
                 for triple in unit.triples:
-                    if triple in packed_triples:
+                    if triple in self._packed_triples or triple in packs:
                         continue
                     if store is None:
-                        store = PackedTraceStore(self.store_dir)
-                    name, length, instance = triple
-                    if not store.contains(name, length, instance, _JUNK_LEN):
-                        trace = trace_for(name, length, instance)
-                        store.save(
-                            PackedTrace.from_trace(trace), name, length, instance
-                        )
-                    packed_triples.add(triple)
+                        store = PackedTraceStore(store_dir)
+                    if store.contains(*triple, _JUNK_LEN):
+                        self._packed_triples.add(triple)
+                    else:
+                        packs[triple] = _PackTrace(store_dir, triple)
                 if unit.config is not None:
                     config = unit.config
                     if isinstance(config, str):
                         config = get_config(config)
-                    warm_sets.setdefault(
-                        (config.params.memory, unit.triples), None
+                    memory = config.params.memory
+                    path = warm_snapshot_path(
+                        store_dir, memory, len(unit.triples), unit.triples
                     )
-        for memory_params, triples in warm_sets:
-            traces = [trace_for(*t) for t in triples]
-            ensure_warm_snapshot(self.store_dir, memory_params, traces)
+                    if path not in warms and not os.path.exists(path):
+                        warms[path] = _WarmSnapshot(
+                            store_dir, memory, unit.triples
+                        )
+        with self.report.events_only():
+            if packs:
+                self._run_local(list(packs.values()))
+                self._packed_triples.update(packs)
+            if warms:
+                self._run_local(list(warms.values()))
 
     def run_one(self, job):
         """Execute a single job inline (cache-aware)."""

@@ -132,7 +132,7 @@ class ContinuationJob:
 
     def trace_manifest(self) -> Tuple[TraceUnit, ...]:
         """One :class:`~repro.runner.jobs.TraceUnit` per bundled run (the
-        parent's pre-pack pass dedups triples and warm sets itself)."""
+        runner's pre-pack pass dedups triples and warm sets itself)."""
         return tuple(
             TraceUnit(triples=tuple(run.trace_triples()), config=run.config)
             for run in self.runs

@@ -24,9 +24,9 @@ dispatch/cache/prepack path:
 ``trace_manifest()``
     The job's trace needs, as :class:`TraceUnit` records — one per
     independent simulation the job contains. The BatchRunner parent
-    iterates these to pre-pack traces and warm snapshots into the shared
-    store before a parallel batch launches, with no per-job-kind
-    special-casing.
+    iterates these to list the traces and warm snapshots the shared
+    store lacks before a parallel batch launches, with no per-job-kind
+    special-casing, and packs them with prep jobs on the pool.
 
 ``cache_key_fields()``
     The job's canonical identity for the on-disk result cache (see
@@ -145,7 +145,7 @@ class SimJob:
     def trace_triples(self) -> List[Triple]:
         """The ``(benchmark, length, instance)`` traces this job streams —
         :func:`~repro.core.simulation.run_simulation`'s exact resolution,
-        so the parent can pre-pack exactly what workers will look up."""
+        so the runner can pre-pack exactly what workers will look up."""
         length = (
             self.trace_length
             if self.trace_length is not None

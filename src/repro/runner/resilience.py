@@ -44,6 +44,7 @@ they needed.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import logging
@@ -52,8 +53,9 @@ import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "RetryPolicy",
@@ -229,6 +231,22 @@ class RunReport:
         healthy pool is not eventful)."""
         events = (f.name for f in fields(self) if f.name not in _VOLUME_FIELDS)
         return any(getattr(self, name) for name in events)
+
+    @contextmanager
+    def events_only(self) -> Iterator["RunReport"]:
+        """Count recovery events but no volume inside the block.
+
+        The runner's own prep work (packing traces, computing warm
+        snapshots) is not a job the caller submitted: ``jobs``,
+        ``batches``, ``attempts`` and the timings are restored on exit,
+        while a prep retry, timeout, respawn or failure stays counted.
+        """
+        saved = {name: copy.copy(getattr(self, name)) for name in _VOLUME_FIELDS}
+        try:
+            yield self
+        finally:
+            for name, value in saved.items():
+                setattr(self, name, value)
 
     def absorb_worker_stats(self, stats: Optional[Dict[str, int]]) -> None:
         """Fold one worker execution's side-band counters (currently the

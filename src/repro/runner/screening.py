@@ -401,7 +401,7 @@ class ScreenJob:
     # -- shared-store / result-cache integration ---------------------------
 
     def trace_triples(self) -> List[Tuple[str, int, int]]:
-        """Traces this job streams (for the parent's pre-pack pass)."""
+        """Traces this job streams (for the runner's pre-pack pass)."""
         from repro.core.simulation import (
             default_trace_length,
             resolve_trace_triples,

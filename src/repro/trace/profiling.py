@@ -5,18 +5,33 @@ threads are arranged by the number of data cache misses and assigned to
 the pipelines." This module is that profile pass — each benchmark's trace
 is run alone through the L1D/L2 of the baseline memory hierarchy and its
 data-cache misses counted. Results are memoized per (benchmark, length).
+
+:class:`ProfileJob` is one profile pass as a runner job, and
+:func:`ensure_profiles` memoizes a whole set of them computed as one
+batch — how the Fig. 4/5 sweep profiles its benchmarks in the worker
+pool instead of serially in the parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, Sequence, Tuple
 
 from repro.isa.opcodes import OP_LOAD, OP_STORE
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 from repro.trace.stream import trace_for
 
-__all__ = ["DCacheProfile", "profile_benchmark", "profile_workload", "clear_profile_cache"]
+__all__ = [
+    "DCacheProfile",
+    "ProfileJob",
+    "profile_benchmark",
+    "profile_workload",
+    "ensure_profiles",
+    "clear_profile_cache",
+]
+
+#: Profile window (instructions) when the caller names none.
+PROFILE_LENGTH = 20_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +59,7 @@ _CACHE: Dict[Tuple[str, int], DCacheProfile] = {}
 
 
 def profile_benchmark(
-    name: str, length: int = 20_000, params: MemoryParams | None = None
+    name: str, length: int = PROFILE_LENGTH, params: MemoryParams | None = None
 ) -> DCacheProfile:
     """Run one benchmark's trace alone through the data-side hierarchy.
 
@@ -86,10 +101,44 @@ def profile_benchmark(
 
 
 def profile_workload(
-    benchmarks: List[str], length: int = 20_000
+    benchmarks: List[str], length: int = PROFILE_LENGTH
 ) -> List[DCacheProfile]:
     """Profiles for every thread of a workload, in workload order."""
     return [profile_benchmark(b, length) for b in benchmarks]
+
+
+@dataclass(frozen=True)
+class ProfileJob:
+    """``profile_benchmark(name)`` as a runner job (see
+    :mod:`repro.runner.jobs`): it generates its own trace, so it has no
+    trace needs for the runner to prepack."""
+
+    name: str
+
+    heavy: ClassVar[bool] = False
+
+    def execute(self, cache=None) -> DCacheProfile:
+        return profile_benchmark(self.name)
+
+    def trace_manifest(self) -> Tuple:
+        return ()
+
+
+def ensure_profiles(
+    names: Iterable[str],
+    run: Callable[[Sequence[ProfileJob]], List[DCacheProfile]],
+) -> None:
+    """Memoize the profile of every benchmark in ``names`` not profiled
+    yet, computed as one batch of :class:`ProfileJob` through ``run``
+    (e.g. :meth:`~repro.runner.batch.BatchRunner.run`); later
+    ``profile_benchmark(name)`` calls for them are memo hits."""
+    missing = [
+        n for n in dict.fromkeys(names) if (n, PROFILE_LENGTH) not in _CACHE
+    ]
+    if missing:
+        profiles = run([ProfileJob(n) for n in missing])
+        for name, prof in zip(missing, profiles):
+            _CACHE[(name, PROFILE_LENGTH)] = prof
 
 
 def clear_profile_cache() -> None:

@@ -246,9 +246,9 @@ def set_trace_store(
 ) -> Optional[PackedTraceStore]:
     """Activate (or with ``None`` deactivate) the process trace store.
 
-    Returns the active store. BatchRunner workers activate the parent's
-    store with ``save_on_generate=False`` — the parent pre-packed every
-    trace the batch needs, so workers only ever read.
+    Returns the active store. BatchRunner workers activate the runner's
+    store with ``save_on_generate=False`` — the runner packs every trace
+    a batch needs before the batch runs, so its jobs only ever read.
     """
     global _STORE
     if directory is None:

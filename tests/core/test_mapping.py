@@ -1,9 +1,16 @@
 """Unit tests: the paper's 7-step heuristic and the oracle enumeration."""
 
+import functools
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from repro.core.config import get_config
+import repro.experiments.performance as performance
+from repro.core.config import STANDARD_CONFIG_NAMES, get_config
 from repro.core.mapping import (
+    _wasteful,
     canonical_mapping,
     count_mappings,
     describe_mapping,
@@ -13,6 +20,8 @@ from repro.core.mapping import (
     random_mapping,
     round_robin_mapping,
 )
+from repro.trace.profiling import profile_benchmark
+from repro.workloads.definitions import WORKLOADS
 
 
 def pipes(cfg_name):
@@ -146,6 +155,100 @@ def test_sampling_cap_deterministic():
     assert a == b
     c = enumerate_mappings(cfg, 6, max_mappings=12, seed=1)
     assert a != c  # different sample (astronomically unlikely to collide)
+
+
+# ------------------------------------------ scan-once equivalence
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_scan(cfg_name, num_threads, must_include):
+    """The brute-force scan: every ``product`` assignment, with the forced
+    mappings' classes seeded into the dedup set; returns the uncapped
+    list and how many forced mappings lead it."""
+    config = get_config(cfg_name)
+    seen = set()
+    result = []
+    for m in must_include:
+        key = canonical_mapping(config, m)
+        if key not in seen:
+            seen.add(key)
+            result.append(tuple(m))
+    forced_count = len(result)
+    for assignment in product(range(len(config.pipelines)), repeat=num_threads):
+        if not mapping_contexts_ok(config, assignment):
+            continue
+        if _wasteful(config, assignment):
+            continue
+        key = canonical_mapping(config, assignment)
+        if key in seen:
+            continue
+        seen.add(key)
+        result.append(tuple(assignment))
+    return result, forced_count
+
+
+def _reference_enumerate(config, num_threads, max_mappings=None,
+                         must_include=()):
+    """The enumeration as one brute-force scan per (config, thread count,
+    forced mappings) followed by the seeded sample."""
+    if config.is_monolithic:
+        return [(0,) * num_threads]
+    result, forced_count = _reference_scan(config.name, num_threads,
+                                           tuple(must_include))
+    if max_mappings is not None and len(result) > max_mappings:
+        rng = random.Random(f"mappings:{config.name}:{num_threads}:0")
+        forced = result[:forced_count]
+        pool = result[forced_count:]
+        take = max(0, max_mappings - forced_count)
+        result = forced + rng.sample(pool, min(take, len(pool)))
+    return result
+
+
+@pytest.mark.parametrize("cfg_name", STANDARD_CONFIG_NAMES)
+def test_enumeration_matches_brute_force_reference(cfg_name):
+    """enumerate_mappings (one scan, then a per-call selection) returns
+    exactly the brute-force list — same order, same sample — for every
+    thread count that fits, uncapped and at the default cap of 36, with
+    and without each workload's heuristic mapping forced in."""
+    cfg = get_config(cfg_name)
+    for n in range(1, cfg.total_contexts + 1):
+        for cap in (None, 36):
+            got = enumerate_mappings(cfg, n, max_mappings=cap)
+            assert got == _reference_enumerate(cfg, n, max_mappings=cap)
+    for w in WORKLOADS.values():
+        n = w.num_threads
+        if n > cfg.contexts_for(n):
+            continue
+        misses = [profile_benchmark(b).misses_per_kilo_instruction
+                  for b in w.benchmarks]
+        heur = heuristic_mapping(cfg, misses)
+        for cap in (None, 36):
+            kw = dict(max_mappings=cap, must_include=[heur])
+            got = enumerate_mappings(cfg, n, **kw)
+            assert got == _reference_enumerate(cfg, n, **kw), (w.name, cap)
+
+
+def test_sweep_scans_each_config_thread_count_once(monkeypatch, tiny_scale):
+    """One run_performance_experiment scans each (config, thread count)
+    once, however many workloads of that size it plans."""
+    scans = Counter()
+    real_scan = performance.scan_mappings
+
+    def counting_scan(config, num_threads, include_wasteful=False):
+        scans[(config.name, num_threads)] += 1
+        return real_scan(config, num_threads, include_wasteful)
+
+    monkeypatch.setattr(performance, "scan_mappings", counting_scan)
+    performance.clear_result_cache()
+    try:
+        performance.run_performance_experiment(
+            ["2M4+2M2", "3M4"], ["2W1", "2W4", "4W1", "4W6"], tiny_scale,
+            workers=1,
+        )
+    finally:
+        performance.clear_result_cache()
+    assert scans == {("2M4+2M2", 2): 1, ("2M4+2M2", 4): 1,
+                     ("3M4", 2): 1, ("3M4", 4): 1}
 
 
 # ------------------------------------------------------- blind baselines

@@ -3,6 +3,8 @@
 import json
 
 
+from repro.core.config import get_config
+from repro.core.engine import ensure_warm_snapshot
 from repro.core.simulation import run_simulation
 from repro.experiments.performance import (
     clear_result_cache,
@@ -12,6 +14,10 @@ from repro.experiments.performance import (
 )
 from repro.runner import BatchRunner, ResultCache, SimJob
 from repro.runner.batch import resolve_workers
+from repro.trace.benchmarks import BENCHMARK_NAMES
+from repro.trace.packed import PackedTrace, PackedTraceStore
+from repro.trace.profiling import clear_profile_cache, ensure_profiles, profile_benchmark
+from repro.trace.stream import trace_for
 
 
 def test_simjob_execute_matches_run_simulation(sim_jobs):
@@ -110,6 +116,79 @@ def test_explicit_trace_store_is_populated_and_results_identical(tmp_path, sim_j
     assert results == reference
     assert list(store_dir.glob("*.trace"))  # parent pre-packed traces
     assert list(store_dir.glob("*.warm"))  # and warm snapshots
+
+
+def _store_files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()
+            if p.suffix in (".trace", ".warm")}
+
+
+def test_pool_prep_store_matches_inline_and_serial_prep(tmp_path, sim_jobs):
+    """Prep jobs on the 2-worker pool, prep jobs run inline and the
+    serial parent-side reference (generate, pack, warm in one process)
+    leave the same files with the same bytes."""
+    pooled = tmp_path / "pooled"
+    with BatchRunner(workers=2, trace_store=pooled) as runner:
+        runner.run(sim_jobs)
+    inline = tmp_path / "inline"
+    with BatchRunner(workers=1, trace_store=inline) as runner:
+        runner._prepack_traces(sim_jobs)  # one worker: every unit inline
+    serial = tmp_path / "serial"
+    store = PackedTraceStore(serial)
+    for job in sim_jobs:
+        for unit in job.trace_manifest():
+            traces = [trace_for(*t) for t in unit.triples]
+            for triple, trace in zip(unit.triples, traces):
+                store.save(PackedTrace.from_trace(trace), *triple)
+            memory = get_config(unit.config).params.memory
+            ensure_warm_snapshot(str(serial), memory, traces)
+    reference = _store_files(serial)
+    assert any(name.endswith(".warm") for name in reference)
+    assert _store_files(pooled) == reference
+    assert _store_files(inline) == reference
+
+
+def test_prep_jobs_are_not_the_callers_jobs(tmp_path, sim_jobs):
+    with BatchRunner(workers=2, trace_store=tmp_path / "store") as runner:
+        runner.run(sim_jobs)
+        report = runner.report
+    assert list((tmp_path / "store").glob("*.warm"))  # prep ran
+    assert report.jobs == report.attempts == len(sim_jobs)
+    assert report.batches == 1
+    assert len(report.job_seconds) == len(sim_jobs)
+    assert not report.eventful
+
+
+def test_prep_retry_counts_as_an_event(tmp_path, monkeypatch, sim_jobs):
+    monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fault-state"))
+    monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(
+        [{"match": "_PackTrace", "op": "raise", "executions": [1]}]
+    ))
+    with BatchRunner(workers=1, trace_store=False) as plain:
+        reference = plain.run(sim_jobs)
+    with BatchRunner(workers=2, trace_store=tmp_path / "store") as runner:
+        assert runner.run(sim_jobs) == reference
+        report = runner.report
+    assert report.retries == 1 and report.failures == 0
+    assert report.jobs == len(sim_jobs) and report.batches == 1
+
+
+def test_profiles_from_the_pool_equal_serial_profiles(monkeypatch):
+    import repro.trace.profiling as profiling
+
+    clear_profile_cache()
+    with BatchRunner(workers=2) as runner:
+        ensure_profiles(BENCHMARK_NAMES, runner.run)
+        assert runner.report.jobs == len(BENCHMARK_NAMES)
+
+    def boom(*args):  # pragma: no cover - would only run on a memo miss
+        raise AssertionError("profile recomputed instead of memoized")
+
+    with monkeypatch.context() as m:
+        m.setattr(profiling, "trace_for", boom)
+        pooled = [profile_benchmark(b) for b in BENCHMARK_NAMES]
+    clear_profile_cache()
+    assert pooled == [profile_benchmark(b) for b in BENCHMARK_NAMES]
 
 
 def test_private_store_cleaned_up_on_close(sim_jobs):
