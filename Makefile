@@ -1,47 +1,50 @@
 # hdSMT reproduction — one-keystroke entry points.
 #
 #   make test     tier-1 suite (what CI / the roadmap gate runs)
-#   make bench    opt-in figure + throughput benchmarks (writes
-#                 benchmarks/output/*.txt and BENCH_0001.json)
+#   make bench    opt-in paper figure + table regeneration (writes
+#                 benchmarks/output/*.txt)
 #   make figures  regenerate Figs. 4/5 + the §5 summary via the CLI
+#   make perfbench  the benchmark's self-test: every perfbench workload
+#                 at tiny size, checking metric names and units, output
+#                 digests and that a corrupted output counts as a
+#                 failure (the CI perfbench lane); measure with
+#                 `python3 perfbench/run.py --workload NAME`
 #
 #   make cov      tier-1 suite under pytest-cov with the CI coverage
 #                 floor (80% over src/repro); writes coverage.xml
 #   make lint     ruff check + ruff format --check over src/ tests/
 #                 benchmarks/ (the CI lint job)
-#   make perf-gate  throughput-regression tripwire: re-runs the
-#                 throughput benchmarks (REPRO_SIM_SCALE=0.1) and fails
-#                 on >25% regression vs the committed BENCH_000N baseline
 #   make chaos    fault-injection suite against a real 2-worker pool
 #                 (worker deaths, hangs, corrupt cache entries; the CI
 #                 chaos lane)
-#   make chaos-remote  distributed chaos lane: real `repro worker`
+#   make ci       tier-1 suite + a smoke `figures` sweep (tiny scale,
+#                 2 workers), as the figures-smoke CI lane runs it
+#
+# Local subsets of the tier-1 suite:
+#
+#   make chaos-remote  the distributed suites: real `repro worker`
 #                 processes under REPRO_FAULT_PLAN (worker death, hangs
 #                 past lease expiry, stale-lease takeover, speculative
 #                 straggler twins), asserting bit-identical output + an
 #                 eventful run report
-#   make cache-smoke  multi-tier result-cache lane: memory-tier/backend
+#   make cache-smoke  multi-tier result cache: memory-tier/backend
 #                 semantics, the rendered-frame tier, and the `repro
 #                 cache` CLI verbs
-#   make serve-smoke  simulation-service lane: boot a real `repro
-#                 serve` daemon, submit the reference sweep, assert the
+#   make serve-smoke  simulation service: boot a real `repro serve`
+#                 daemon, submit the reference sweep, assert the
 #                 response byte-identical to the local execution path,
 #                 warm resubmission from cache, SIGTERM and wire
-#                 drains with no orphaned pool workers (the CI
-#                 serve-smoke lane)
-#   make ci       what the GitHub Actions workflow runs: tier-1 suite +
-#                 a smoke `figures` sweep (tiny scale, 2 workers)
+#                 drains with no orphaned pool workers
 #
 # Knobs: REPRO_SIM_SCALE (window scale), REPRO_WORKERS (BatchRunner
 # processes), REPRO_RESULT_CACHE (on-disk result cache directory),
-# REPRO_TRACE_CACHE (packed trace / warm snapshot store directory),
-# PERF_GATE_TOLERANCE (perf-gate regression threshold, default 0.25).
+# REPRO_TRACE_CACHE (packed trace / warm snapshot store directory).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test cov bench bench-throughput figures ci lint perf-gate chaos \
-	chaos-remote serve-smoke cache-smoke
+.PHONY: test cov bench figures ci lint perfbench chaos chaos-remote \
+	serve-smoke cache-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -69,8 +72,8 @@ lint:
 	ruff check src tests benchmarks
 	ruff format --check src tests benchmarks
 
-perf-gate:
-	REPRO_SIM_SCALE=0.1 $(PYTHON) benchmarks/perf_gate.py
+perfbench:
+	$(PYTHON) perfbench/selftest.py
 
 cov:
 	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term \
@@ -78,9 +81,6 @@ cov:
 
 bench:
 	RUN_BENCH=1 $(PYTHON) -m pytest benchmarks -q
-
-bench-throughput:
-	RUN_BENCH=1 $(PYTHON) -m pytest benchmarks/test_simulator_throughput.py -q
 
 figures:
 	$(PYTHON) -m repro figures

@@ -1,8 +1,8 @@
 """Shared fixtures for the figure/table regeneration harness.
 
 Every bench writes its regenerated artifact both to stdout and to
-``benchmarks/output/<name>.txt``; EXPERIMENTS.md records the outputs of a
-full run next to the paper's numbers.
+``benchmarks/output/<name>.txt`` (git-ignored: rerun the harness to put a
+full run's outputs next to the paper's numbers).
 
 The harness is **opt-in** (tier-1 `pytest` collects only ``tests/``, see
 pyproject.toml): every item here carries the ``bench`` marker and is

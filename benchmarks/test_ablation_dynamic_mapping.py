@@ -43,8 +43,8 @@ def run_pair():
     return static_ipc, dyn
 
 
-def test_ablation_dynamic_mapping(benchmark, artifact):
-    static_ipc, dyn = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+def test_ablation_dynamic_mapping(artifact):
+    static_ipc, dyn = run_pair()
     text = format_table(
         ["policy", "IPC", "migrations"],
         [

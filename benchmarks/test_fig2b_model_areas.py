@@ -21,8 +21,8 @@ def fig2b_text() -> str:
     )
 
 
-def test_fig2b_model_areas(benchmark, artifact):
-    text = benchmark.pedantic(fig2b_text, rounds=1, iterations=1)
+def test_fig2b_model_areas(artifact):
+    text = fig2b_text()
     artifact("fig2b_model_areas", text)
     # Shape facts from the paper's chart: M8 tallest (~165 mm2), EX core
     # the dominant segment, M6/M4/M2 fetch stages 20% over M8's.

@@ -4,10 +4,8 @@ from repro.area.model import area_report, config_area
 from repro.core.config import STANDARD_CONFIG_NAMES
 
 
-def test_fig3_config_areas(benchmark, artifact):
-    text = benchmark.pedantic(
-        area_report, args=(STANDARD_CONFIG_NAMES,), rounds=1, iterations=1
-    )
+def test_fig3_config_areas(artifact):
+    text = area_report(STANDARD_CONFIG_NAMES)
     artifact("fig3_config_areas", text)
     # Paper's annotations.
     base = config_area("M8")

@@ -7,11 +7,8 @@ from repro.experiments.performance import fig5_table
 from repro.experiments.summary import headline_summary
 
 
-def test_fig5_perf_per_area(benchmark, artifact, sweep):
-    def render():
-        return "\n\n".join(fig5_table(sweep, cls) for cls in ("ILP", "MEM", "MIX"))
-
-    text = benchmark.pedantic(render, rounds=1, iterations=1)
+def test_fig5_perf_per_area(artifact, sweep):
+    text = "\n\n".join(fig5_table(sweep, cls) for cls in ("ILP", "MEM", "MIX"))
     artifact("fig5_perf_per_area", text)
 
     # Paper shape: hdSMT wins complexity-effectiveness.

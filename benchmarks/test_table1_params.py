@@ -31,8 +31,8 @@ def table1_text() -> str:
     )
 
 
-def test_table1_params(benchmark, artifact):
-    text = benchmark.pedantic(table1_text, rounds=1, iterations=1)
+def test_table1_params(artifact):
+    text = table1_text()
     artifact("table1_params", text)
     for expected in ("64KB", "512KB", "3/22", "250 cyc.", "48 ent. / 128 ent. / 300 cyc."):
         assert expected in text

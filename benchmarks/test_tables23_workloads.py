@@ -16,8 +16,8 @@ def tables23_text() -> str:
     )
 
 
-def test_tables23_workloads(benchmark, artifact):
-    text = benchmark.pedantic(tables23_text, rounds=1, iterations=1)
+def test_tables23_workloads(artifact):
+    text = tables23_text()
     artifact("tables23_workloads", text)
     assert "2W4" in text and "mcf, twolf" in text
     assert "6W4" in text

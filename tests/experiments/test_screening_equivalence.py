@@ -19,8 +19,8 @@ from repro.experiments.performance import (
 from repro.experiments.scale import ExperimentScale
 
 #: The reference scenario (the golden/benchmark configuration family) at
-#: the paper's default experiment scale — the scale BENCH_0002's reference
-#: sweep runs at.
+#: the default experiment scale (``ExperimentScale()``, what ``repro
+#: figures`` runs with no scale override).
 REFERENCE_CONFIG = "2M4+2M2"
 REFERENCE_WORKLOAD = "4W6"
 REFERENCE_SCALE = ExperimentScale(

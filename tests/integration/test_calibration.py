@@ -1,8 +1,8 @@
 """Calibration tests: the paper's qualitative results must hold.
 
 These assert the *shape* of the reproduction (who wins, in which metric,
-roughly by how much) at a reduced scale. EXPERIMENTS.md records the
-full-scale numbers.
+roughly by how much) at a reduced scale. ``make bench`` regenerates the
+full-scale figures and tables into ``benchmarks/output/``.
 """
 
 import pytest

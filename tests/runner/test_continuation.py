@@ -7,6 +7,8 @@ bundled run's result is bit-identical to the ``run_simulation`` call the
 one-job-per-run scheduler used to dispatch.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,7 @@ from repro.runner.continuation import (
     plan_bundles,
     unbundle_results,
 )
+from repro.runner.screening import ScreenJob
 from repro.workloads.definitions import get_workload
 
 
@@ -210,6 +213,38 @@ def test_sweep_resume_counts_match_exact_mode_run_counts(tiny_scale):
     for p in screened:
         for m in (p.heur_map, p.best_map, p.worst_map):
             assert m in p.full_results
+    clear_result_cache()
+
+
+@pytest.mark.parametrize("screening", [False, True], ids=["exact", "screening"])
+def test_screen_batch_does_not_grow_with_max_mappings(tiny_scale, screening):
+    """The screen batch's job count is fixed by the pool width and the
+    pair count, never by the candidate count: exact mode bundles every
+    candidate screen into at most ``workers`` jobs, screening mode sends
+    one ladder per screened pair (plus the bundled single runs)."""
+    workers = 4
+    sizes = set()
+    for max_mappings in (4, 8, 24):
+        clear_result_cache()
+        scale = dataclasses.replace(tiny_scale, max_mappings=max_mappings)
+        runner = RecordingRunner(reported_workers=workers)
+        plans = [
+            _plan_pair(cn, get_workload(wn), scale, screening=screening)
+            for cn in ("M8", "2M4+2M2") for wn in ("2W4", "4W6")
+        ]
+        _execute_plans(plans, scale, runner)
+        screen_batch = runner.batches[0]
+        ladders = [j for j in screen_batch if isinstance(j, ScreenJob)]
+        assert len(screen_batch) - len(ladders) <= workers, max_mappings
+        if screening:
+            assert len(ladders) == sum(p.screen_job is not None for p in plans)
+        else:
+            assert not ladders
+            # Not vacuous: one job per candidate would break the bound.
+            assert sum(len(p.candidates or ()) for p in plans) > workers
+        sizes.add(len(screen_batch))
+    if screening:
+        assert len(sizes) == 1
     clear_result_cache()
 
 

@@ -9,7 +9,7 @@ RunReport showing the recovery events the injected plan forced
 speculative re-dispatch; a stale lease → takeover with a settled
 double-publish race; a whole fleet dying → local fallback).
 
-This file is the ``make chaos-remote`` CI lane.
+``make chaos-remote`` runs it with the other distributed suites.
 """
 
 import json

@@ -5,7 +5,7 @@ one proves the shipped entry points compose — daemon process, unix
 socket, ``repro submit`` / ``repro status`` CLI verbs, byte-identity
 against the local execution path, and a drain — by SIGTERM or by a
 client's ``drain`` frame — that exits cleanly with no orphaned pool
-workers.  This is also what the ``make serve-smoke`` CI lane runs.
+workers.  ``make serve-smoke`` runs this file alone.
 """
 
 import json
