@@ -17,8 +17,9 @@
 #   make chaos    fault-injection suite against a real 2-worker pool
 #                 (worker deaths, hangs, corrupt cache entries; the CI
 #                 chaos lane)
-#   make ci       tier-1 suite + a smoke `figures` sweep (tiny scale,
-#                 2 workers), as the figures-smoke CI lane runs it
+#   make ci       tier-1 suite + the figures-smoke CI lane as CI runs
+#                 it: a screening sweep, then exact-mode sweeps with
+#                 --jobs 1 and --jobs 2 whose stdouts must be identical
 #
 # Local subsets of the tier-1 suite:
 #
@@ -89,4 +90,7 @@ ci: test
 	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
 		--jobs 2 --screening --workloads 2W4 4W6 --quiet
 	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
-		--jobs 2 --workloads 2W4 4W6 --quiet
+		--jobs 1 --workloads 2W4 4W6 --quiet > figures-j1.txt
+	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
+		--jobs 2 --workloads 2W4 4W6 --quiet > figures-j2.txt
+	diff figures-j1.txt figures-j2.txt

@@ -38,6 +38,7 @@ __all__ = [
     "count_mappings",
     "mapping_contexts_ok",
     "canonical_mapping",
+    "machine_key",
     "random_mapping",
     "round_robin_mapping",
     "describe_mapping",
@@ -144,6 +145,33 @@ def canonical_mapping(config: MicroarchConfig, mapping: Sequence[int]) -> Tuple:
     for i, model in enumerate(config.pipelines):
         groups.setdefault(model.name, []).append(tuple(per_pipe[i]))
     return tuple((name, tuple(sorted(sets))) for name, sets in sorted(groups.items()))
+
+
+def machine_key(config: MicroarchConfig, mapping: Sequence[int]) -> Tuple:
+    """Identity of the machine a mapping simulates.
+
+    The engine simulates only the pipelines that host a thread, in
+    pipeline-index order, and never reads a pipeline's index or the
+    configuration's name; so two (config, mapping) pairs with the same
+    shared parameters, fetch policy and sequence of ``(model, threads)``
+    over their occupied pipelines produce identical results. An empty
+    pipeline left over in a bigger configuration (3M4+2M2 running a
+    2M4+2M2 mapping) does not change the key.
+
+    Raises ``ValueError`` for a mapping that fails
+    :func:`mapping_contexts_ok`.
+    """
+    if not mapping_contexts_ok(config, mapping):
+        raise ValueError(f"mapping {tuple(mapping)} does not fit {config.name}")
+    per_pipe: List[List[int]] = [[] for _ in config.pipelines]
+    for t, p in enumerate(mapping):
+        per_pipe[p].append(t)
+    active = tuple(
+        (model, tuple(threads))
+        for model, threads in zip(config.pipelines, per_pipe)
+        if threads
+    )
+    return (config.params, config.fetch_policy, active)
 
 
 def _wasteful(config: MicroarchConfig, mapping: Sequence[int]) -> bool:

@@ -34,6 +34,11 @@ BatchRunner`:
    each batch the runner packs the traces and computes the warm
    snapshots it needs, as prep jobs on the same pool.
 
+Both batches simulate each distinct machine run once: configurations
+whose mappings occupy the same pipelines with the same threads
+(:func:`~repro.core.mapping.machine_key`) share one simulation, and the
+other runs get its result relabelled.
+
 The pool stays saturated to the tail of the sweep instead of draining
 at every pair boundary. In exact mode the candidate screens of *all*
 pairs are packed into worker-count-sized :class:`~repro.runner.continuation.
@@ -64,12 +69,17 @@ stays the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.area.model import config_area
 from repro.core.config import STANDARD_CONFIG_NAMES, get_config
-from repro.core.mapping import heuristic_mapping, scan_mappings, select_mappings
+from repro.core.mapping import (
+    heuristic_mapping,
+    machine_key,
+    scan_mappings,
+    select_mappings,
+)
 from repro.core.simulation import SimResult, default_trace_length
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.metrics.stats import harmonic_mean
@@ -251,11 +261,68 @@ def _plan_pair(config_name: str, workload: Workload, scale: ExperimentScale,
     )
 
 
+def _result_key(run: ContinuationRun) -> tuple:
+    """Everything a run's result depends on except its labels (config
+    name and mapping): the machine it simulates, the benchmarks, the
+    commit target, the resolved trace length and the seed."""
+    config = get_config(run.config) if isinstance(run.config, str) else run.config
+    length = (run.trace_length if run.trace_length is not None
+              else default_trace_length(run.commit_target))
+    return (machine_key(config, run.mapping), run.benchmarks,
+            run.commit_target, length, run.seed)
+
+
+class _Machines:
+    """One sweep's results by :func:`_result_key`, so each distinct
+    machine run is simulated once however many configurations ask."""
+
+    def __init__(self, runner: BatchRunner) -> None:
+        self.cache = runner.cache
+        self.results: Dict[tuple, SimResult] = {}
+
+    def plan(self, runs: Sequence[ContinuationRun]
+             ) -> Tuple[List[tuple], Dict[tuple, ContinuationRun]]:
+        """The key of every run, and the runs to simulate: the first run
+        of each key this sweep has not seen yet, in run order."""
+        keys = [_result_key(r) for r in runs]
+        new: Dict[tuple, ContinuationRun] = {}
+        for k, r in zip(keys, runs):
+            if k not in self.results and k not in new:
+                new[k] = r
+        return keys, new
+
+    def publish(self, runs: Sequence[ContinuationRun], keys: Sequence[tuple],
+                new: Dict[tuple, ContinuationRun],
+                simulated: Sequence[SimResult]) -> List[SimResult]:
+        """Record ``simulated`` (one result per ``new`` run) and return one
+        result per run: a run that was not simulated gets its
+        representative's result relabelled with its own config name and
+        mapping, and is cached under its own SimJob identity."""
+        self.results.update(zip(new, simulated))
+        out: List[SimResult] = []
+        for k, run in zip(keys, runs):
+            result = self.results[k]
+            if new.get(k) is not run:
+                name = run.config if isinstance(run.config, str) else run.config.name
+                result = replace(result, config_name=name, mapping=run.mapping,
+                                 stats=dict(result.stats))
+                if self.cache is not None:
+                    self.cache.put(run.as_sim_job(), result)
+            out.append(result)
+        return out
+
+
 def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
                    runner: BatchRunner, progress: bool = False,
                    bundle_count: Optional[int] = None) -> None:
     """Run every plan's screens and full-length runs as cross-pair batches
     and publish the finished :class:`WorkloadResult` objects to the memo.
+
+    Each distinct machine run is simulated once per call: runs of
+    different configurations that occupy the same pipelines with the
+    same threads (see :func:`~repro.core.mapping.machine_key`) share one
+    simulation, across both batches, and the others get its result
+    relabelled.
 
     Two batches total: every pair's screens (exact mode: the candidate
     screens of *all* pairs — plus the single-mapping pairs' only runs —
@@ -277,6 +344,7 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
     n_bundles = bundle_count if bundle_count is not None else runner.workers
     if n_bundles < 1:
         n_bundles = 1
+    machines = _Machines(runner)
 
     # --- phase 1: screens (plus single-mapping pairs' only runs) ---------
     # One bundled run list covers the exact-mode candidate screens and
@@ -304,15 +372,18 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
         elif p.screen_job is not None:
             ladder_jobs.append(p.screen_job)
             ladder_plans.append(p)
-    bundles = plan_bundles(runs, n_bundles)
+    keys, new = machines.plan(runs)
+    bundles = plan_bundles(list(new.values()), n_bundles)
     batch: List = bundles + ladder_jobs
     if batch:
         if progress:  # pragma: no cover - console feedback only
-            print(f"  screening phase: {len(runs)} runs + "
-                  f"{len(ladder_jobs)} ladders in {len(batch)} jobs ...",
-                  flush=True)
+            print(f"  screening phase: {len(runs)} runs ({len(new)} "
+                  f"simulated) + {len(ladder_jobs)} ladders in "
+                  f"{len(batch)} jobs ...", flush=True)
         results = runner.run(batch)
-        flat = unbundle_results(results[:len(bundles)], len(runs))
+        flat = machines.publish(
+            runs, keys, new, unbundle_results(results[:len(bundles)], len(new))
+        )
         exact_scores: Dict[int, List[Tuple[float, Tuple[int, ...]]]] = {}
         for (kind, p, m), r in zip(owners, flat):
             if kind == "screen":
@@ -350,12 +421,15 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
             )
             full_owners.append((p, m))
     if full_runs:
+        keys, new = machines.plan(full_runs)
         if progress:  # pragma: no cover - console feedback only
             print(f"  full-length continuations: {len(full_runs)} runs "
-                  f"in {min(len(full_runs), n_bundles)} bundles ...",
-                  flush=True)
+                  f"({len(new)} simulated) in "
+                  f"{min(len(new), n_bundles)} bundles ...", flush=True)
+        simulated = (run_bundled(runner, list(new.values()), n_bundles)
+                     if new else [])
         for (p, m), r in zip(full_owners,
-                             run_bundled(runner, full_runs, n_bundles)):
+                             machines.publish(full_runs, keys, new, simulated)):
             p.full_results[m] = r
 
     # --- assembly --------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from collections import OrderedDict
@@ -280,10 +281,14 @@ def _env_mem_budget_mb() -> float:
     if not raw:
         return 0.0
     try:
-        return max(0.0, float(raw))
+        value = float(raw)
     except ValueError:
-        logger.warning("ignoring REPRO_MEM_CACHE_MB=%r: not a number", raw)
+        value = math.nan
+    if not math.isfinite(value):
+        logger.warning("ignoring REPRO_MEM_CACHE_MB=%r: not a finite number",
+                       raw)
         return 0.0
+    return max(0.0, value)
 
 
 class ResultCache:

@@ -79,8 +79,12 @@ async def _serve(service: ReproService, socket_path: Optional[str],
         signalled.cancel()
         drained.cancel()
         server.close()
-        await server.wait_closed()
+        # Drain before waiting on connections: from Python 3.12.1 on,
+        # wait_closed() waits for every open connection, and a client
+        # whose flight is queued keeps its connection open until that
+        # flight fails or lands.
         await service.close()
+        await server.wait_closed()
         if socket_path is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(socket_path)

@@ -15,8 +15,11 @@ traffic off the simulator:
    flight, not once per client).
 2. **rendered-frame cache** — a bounded LRU of canonical response
    frames keyed by flight key.  A repeat request whose frame is resident
-   is answered with the exact bytes the first asker received — no job
-   keying, no json/sha256, no disk, no dispatch-thread hop (sized by
+   is answered with the exact bytes the first asker received.  The
+   lookup still parses the spec into jobs and hashes the request key
+   (:func:`~repro.service.protocol.request_key`, SHA-256), but a hit
+   skips the per-job result-cache keys, the disk, the response
+   rendering and the dispatch-thread hop (sized by
    ``REPRO_MEM_CACHE_MB``; counted as ``cache_served`` + ``frame_served``).
 3. **shared result cache** — a new flight first reads every job through
    the runner's tiered :class:`~repro.runner.cache.ResultCache`; a
@@ -44,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
+import math
 import os
 import time
 from collections import OrderedDict, deque
@@ -81,9 +85,10 @@ def _env_frame_budget_mb() -> float:
     if raw is None:
         return _DEFAULT_FRAME_MB
     try:
-        return max(0.0, float(raw))
+        value = float(raw)
     except ValueError:
         return _DEFAULT_FRAME_MB
+    return max(0.0, value) if math.isfinite(value) else _DEFAULT_FRAME_MB
 
 
 class ServiceError(Exception):

@@ -2,7 +2,13 @@
 
 import pytest
 
+import repro.experiments.performance as performance
+from repro.core.config import get_config
+from repro.core.mapping import machine_key
+from repro.core.simulation import run_simulation
 from repro.experiments.performance import (
+    _execute_plans,
+    _plan_pair,
     class_size_means,
     clear_result_cache,
     evaluate_config_workload,
@@ -10,6 +16,9 @@ from repro.experiments.performance import (
     fig5_table,
     run_performance_experiment,
 )
+from repro.runner import BatchRunner
+from repro.runner.continuation import ContinuationJob, ContinuationRun
+from repro.workloads.definitions import get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -87,3 +96,82 @@ def test_fig_tables_render(tiny_scale):
     t5 = fig5_table(res, "MEM")
     assert "Fig. 4" in t4 and "MEM" in t4
     assert "Fig. 5" in t5 and "IPC/mm2" in t5
+
+
+# -- one simulation per distinct machine ----------------------------------
+
+
+class _RecordingRunner(BatchRunner):
+    """An inline runner that records every bundled run it executes."""
+
+    def __init__(self, **kwargs):
+        super().__init__(workers=1, trace_store=False, **kwargs)
+        self.executed = []
+
+    def run(self, jobs):
+        jobs = list(jobs)
+        self.executed.extend(
+            run for job in jobs if isinstance(job, ContinuationJob)
+            for run in job.runs
+        )
+        return super().run(jobs)
+
+
+def _machine_run(run):
+    """What a sweep run's result depends on besides its labels (the
+    sweep's runs all use the default trace length and seed)."""
+    return (machine_key(get_config(run.config), run.mapping), run.benchmarks,
+            run.commit_target)
+
+
+def _requested_runs(plan, scale):
+    """Every run the plan asks for, as the sweep would bundle it without
+    machine sharing: the screens (or the only run), then one full-length
+    run per distinct BEST/HEUR/WORST mapping."""
+    bench = plan.workload.benchmarks
+    if plan.single_map is not None:
+        return [ContinuationRun(plan.config_name, bench, plan.single_map,
+                                scale.commit_target)]
+    screens = [ContinuationRun(plan.config_name, bench, m, scale.screen_target)
+               for m in plan.candidates]
+    trio = dict.fromkeys([plan.heur_map, plan.best_map, plan.worst_map])
+    return screens + [
+        ContinuationRun(plan.config_name, bench, m, scale.commit_target)
+        for m in trio
+    ]
+
+
+@pytest.mark.parametrize("configs", [("2M4+2M2", "3M4+2M2"), ("3M4", "4M4")],
+                         ids=["hetero", "homogeneous"])
+def test_sweep_simulates_each_machine_once(tiny_scale, tmp_path, configs):
+    """Configurations that run the same active pipelines share one
+    simulation per distinct machine; the table equals the one each pair
+    gives on its own and every reported run equals ``run_simulation``,
+    and every requested run is still cached under its own SimJob key."""
+    workload = get_workload("2W4")
+    runner = _RecordingRunner(cache_dir=tmp_path / "cache")
+    plans = [_plan_pair(cn, workload, tiny_scale, screening=False)
+             for cn in configs]
+    _execute_plans(plans, tiny_scale, runner)
+    shared = {p.config_name: performance._CACHE[p.key] for p in plans}
+
+    requested = [r for p in plans for r in _requested_runs(p, tiny_scale)]
+    executed_keys = [_machine_run(r) for r in runner.executed]
+    assert len(executed_keys) == len(set(executed_keys))
+    assert set(executed_keys) == {_machine_run(r) for r in requested}
+    assert len(runner.executed) < len(requested)  # the configs do share
+
+    for cn in configs:
+        clear_result_cache()
+        with BatchRunner(workers=1, trace_store=False) as alone:
+            own = evaluate_config_workload(cn, workload, tiny_scale,
+                                           runner=alone)
+        assert shared[cn] == own
+        for res in (own.best, own.heur, own.worst):
+            assert res == run_simulation(cn, workload.benchmarks, res.mapping,
+                                         tiny_scale.commit_target)
+
+    cache = runner.cache
+    for run in requested:
+        assert cache.backend.get_bytes(cache.job_key(run.as_sim_job()))
+    runner.close()

@@ -9,6 +9,8 @@ execution is allowed to finish).
 
 import asyncio
 import json
+import os
+import signal
 import threading
 
 import pytest
@@ -21,6 +23,7 @@ from repro.service import (
     ServiceDraining,
     ServiceRequestError,
 )
+from repro.service.daemon import _serve
 from repro.service.protocol import ProtocolError, encode_frame
 
 SIM_SPEC = {
@@ -42,16 +45,19 @@ class GatedRunner:
     Lets a test admit any number of subscribers (and observe their acks)
     while the one real execution is provably still in flight, then
     release it.  ``run_calls`` counts executions — the storm tests
-    assert it stays at exactly one.
+    assert it stays at exactly one — and ``started`` is set once an
+    execution is held at the gate.
     """
 
     def __init__(self, inner: BatchRunner) -> None:
         self.inner = inner
         self.gate = threading.Event()
+        self.started = threading.Event()
         self.run_calls = 0
 
     def run(self, jobs):
         self.run_calls += 1
+        self.started.set()
         if not self.gate.wait(timeout=60.0):
             raise TimeoutError("test gate never released")
         return self.inner.run(jobs)
@@ -433,6 +439,63 @@ def test_drain_completes_inflight_and_fails_queued(runner, tmp_path):
     assert refused["type"] == "error"
     assert refused["retryable"] is True
     assert cache_entries == 1  # the in-flight result was still persisted
+
+
+def test_sigterm_fails_queued_flight_while_inflight_is_held(runner, tmp_path):
+    """The daemon's SIGTERM drain (``_serve``): the queued flight fails
+    retryable while the in-flight execution is still held at the gate
+    and both clients keep their connections open. From Python 3.12.1
+    ``Server.wait_closed`` waits for open connections, so a daemon that
+    waited on them before draining the service ran the queued flight
+    instead of failing it."""
+    gated = GatedRunner(runner)
+    service = ReproService(gated, cache=runner.cache, progress_interval=0.1)
+    sockpath = str(tmp_path / "serve.sock")
+
+    async def main():
+        serving = asyncio.ensure_future(_serve(service, sockpath, "", None))
+        writers = []
+        try:
+            # _serve binds and listens in one step: once the socket file
+            # exists the daemon accepts.
+            while not os.path.exists(sockpath):
+                assert not serving.done()
+                await asyncio.sleep(0)
+            r1, w1, _ = await connect(sockpath)
+            writers.append(w1)
+            await send(w1, {"type": "submit", "kind": "simulate",
+                            "spec": SIM_SPEC})
+            await next_frame(r1)  # ack A
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, gated.started.wait, 60.0)
+            r2, w2, _ = await connect(sockpath)
+            writers.append(w2)
+            await send(w2, {"type": "submit", "kind": "simulate",
+                            "spec": OTHER_SPEC})
+            queued_ack, _ = await next_frame(r2)
+            signal.raise_signal(signal.SIGTERM)
+            queued_err, _ = await asyncio.wait_for(next_frame(r2), 60.0)
+            held = not gated.gate.is_set()
+            gated.gate.set()
+            inflight, _ = await next_frame(r1)
+            for w in writers:
+                await close_writer(w)
+            await asyncio.wait_for(serving, 60.0)
+            return queued_ack, queued_err, held, inflight
+        finally:
+            gated.gate.set()
+            for w in writers:
+                w.close()
+
+    queued_ack, queued_err, held, inflight = asyncio.run(main())
+    assert queued_ack["type"] == "ack"
+    assert queued_err["type"] == "error"
+    assert queued_err["retryable"] is True
+    assert held  # failed before the in-flight execution was released
+    assert inflight["type"] == "result"
+    assert gated.run_calls == 1  # the queued flight never executed
+    assert service.stats["executed"] == 1
+    assert not os.path.exists(sockpath)
 
 
 def test_drain_is_idempotent(runner, tmp_path):
