@@ -37,9 +37,8 @@
 #                 warm resubmission from cache, SIGTERM and wire
 #                 drains with no orphaned pool workers
 #
-# Knobs: REPRO_SIM_SCALE (window scale), REPRO_WORKERS (BatchRunner
-# processes), REPRO_RESULT_CACHE (on-disk result cache directory),
-# REPRO_TRACE_CACHE (packed trace / warm snapshot store directory).
+# Knobs: the REPRO_* environment variables in README's "Settings" table
+# (e.g. REPRO_SIM_SCALE, REPRO_WORKERS, REPRO_RESULT_CACHE).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

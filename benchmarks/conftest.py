@@ -25,6 +25,7 @@ import pytest
 
 from repro.experiments.performance import run_performance_experiment
 from repro.experiments.scale import ExperimentScale
+from repro.settings import Settings
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -44,9 +45,9 @@ def pytest_collection_modifyitems(config, items):
 
 def bench_scale() -> ExperimentScale:
     base = ExperimentScale(commit_target=6000, screen_target=1200, max_mappings=24)
-    factor = os.environ.get("REPRO_SIM_SCALE")
-    if factor:
-        base = base.scaled(float(factor))
+    factor = Settings.from_env().sim_scale
+    if factor is not None:
+        base = base.scaled(factor)
     return base
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,7 +56,8 @@ from repro.experiments.performance import (
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.experiments.summary import headline_summary, summary_report
 from repro.metrics.tables import format_table
-from repro.runner import BatchRunner, RetryPolicy
+from repro.runner import BatchRunner
+from repro.settings import Settings, non_negative_float, positive_float, positive_int
 from repro.trace.benchmarks import BENCHMARK_NAMES
 from repro.trace.profiling import profile_benchmark
 from repro.workloads.definitions import WORKLOADS, get_workload
@@ -117,14 +117,14 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     scale = default_scale()
-    if args.scale:
+    if args.scale is not None:
         scale = ExperimentScale().scaled(args.scale)
     workloads = args.workloads or None
-    policy = RetryPolicy.from_env()
+    policy = Settings.from_env().retry_policy()
     if args.job_timeout is not None:
         policy = replace(policy, timeout=args.job_timeout)
     if args.max_attempts is not None:
-        policy = replace(policy, max_attempts=max(1, args.max_attempts))
+        policy = replace(policy, max_attempts=args.max_attempts)
     with BatchRunner(
         workers=args.jobs, policy=policy, queue_dir=args.queue
     ) as runner:
@@ -134,7 +134,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             progress=not args.quiet,
             runner=runner,
             screening=args.screening,
-            bundle_count=args.bundles,
         )
         report = runner.report
     for cls in ("ILP", "MEM", "MIX"):
@@ -193,7 +192,7 @@ def _parse_age(text: str) -> float:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.runner.cache import ResultCache
 
-    cache_dir = args.cache or os.environ.get("REPRO_RESULT_CACHE")
+    cache_dir = args.cache or Settings.from_env().result_cache
     if not cache_dir:
         print("error: give --cache DIR or set REPRO_RESULT_CACHE",
               file=sys.stderr)
@@ -255,37 +254,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_wl.set_defaults(func=_cmd_workloads)
 
     p_fig = sub.add_parser("figures", help="regenerate Figs. 4/5 + summary")
-    p_fig.add_argument("--scale", type=float, help="window scale factor")
+    p_fig.add_argument("--scale", type=positive_float, help="window scale factor")
     p_fig.add_argument("--workloads", nargs="*", help="restrict workload ids")
     p_fig.add_argument("--quiet", action="store_true")
     p_fig.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes for the mapping sweeps "
         "(default: REPRO_WORKERS or all cores)",
     )
     p_fig.add_argument(
-        "--bundles",
-        type=int,
-        default=None,
-        help="job bundles per batch (default: the worker count) — caps "
-        "how many worker jobs the exact-mode screens and the "
-        "full-length continuations are packed into; purely a "
-        "scheduling knob — results are identical for any value",
-    )
-    p_fig.add_argument(
         "--job-timeout",
-        type=float,
+        type=non_negative_float,
         default=None,
         help="per-job wall-clock budget in seconds for the supervised "
         "dispatch (heavy jobs get 4x); timed-out jobs retry with "
-        "backoff (default: REPRO_JOB_TIMEOUT, unset = no deadline)",
+        "backoff (default: REPRO_JOB_TIMEOUT; unset or 0 = no deadline)",
     )
     p_fig.add_argument(
         "--max-attempts",
-        type=int,
+        type=positive_int,
         default=None,
         help="executions a failing job may consume before the sweep "
         "aborts (default: REPRO_MAX_ATTEMPTS or 3; retries are safe — "
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "screen's) before full-window runs (validated approximation — "
         "identical oracle selection on the reference scenario; default "
         "is the exact screen, whose per-candidate jobs are bundled "
-        "into at most --bundles worker jobs)",
+        "into one worker job per worker process)",
     )
     p_fig.add_argument(
         "--queue",
@@ -332,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wrk.add_argument(
         "--lease-ttl",
-        type=float,
-        default=10.0,
+        type=positive_float,
+        default=None,
         help="lease lifetime in seconds; a worker that stops renewing "
-        "for this long forfeits its task (default: 10)",
+        "for this long forfeits its task (default: REPRO_LEASE_TTL or 10)",
     )
     p_wrk.add_argument(
         "--heartbeat",
-        type=float,
+        type=positive_float,
         default=None,
         help="lease/heartbeat renewal interval (default: lease-ttl / 3)",
     )
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes for the shared BatchRunner "
         "(default: REPRO_WORKERS or all cores)",
@@ -398,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--max-queue",
-        type=int,
+        type=positive_int,
         default=64,
         help="flights allowed to wait behind the executing one before "
         "submissions are refused with a retryable error (default: 64)",
     )
     p_srv.add_argument(
         "--progress-interval",
-        type=float,
+        type=positive_float,
         default=1.0,
         help="seconds between progress heartbeats to waiting clients",
     )
@@ -436,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--seed", type=int, default=0)
     p_sub.add_argument(
         "--timeout",
-        type=float,
+        type=positive_float,
         default=600.0,
         help="client-side socket timeout in seconds (default: 600)",
     )
@@ -449,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_endpoint_args(p_st)
     p_st.add_argument(
-        "--timeout", type=float, default=10.0, help="socket timeout (s)"
+        "--timeout", type=positive_float, default=10.0, help="socket timeout (s)"
     )
     p_st.add_argument(
         "--porcelain",
@@ -489,5 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        Settings.from_env()  # a bad REPRO_* value stops here, before any work
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)

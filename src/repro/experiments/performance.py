@@ -42,14 +42,13 @@ other runs get its result relabelled.
 The pool stays saturated to the tail of the sweep instead of draining
 at every pair boundary. In exact mode the candidate screens of *all*
 pairs are packed into worker-count-sized :class:`~repro.runner.continuation.
-ContinuationJob` bundles (at most ``bundle_count`` jobs instead of one
+ContinuationJob` bundles (at most one job per worker instead of one
 job per candidate mapping); in screening mode the batch holds one
 checkpointed ladder job per pair (pair-level granularity — the
 checkpoints must live in one worker). Full-length runs are bundled the
 same way: the single-mapping pairs' only runs and every pair's
 post-screen BEST/HEUR/WORST continuations ship in bundles sized to the
-worker count (``bundle_count`` overrides; the CLI exposes it as
-``--bundles``), so the sweep executes a handful of large jobs at both
+worker count, so the sweep executes a handful of large jobs at both
 ends instead of draining one job per run. Pass ``workers=`` (or set
 ``REPRO_WORKERS``) to fan out over processes; results are bit-identical
 to the sequential path regardless.
@@ -313,8 +312,7 @@ class _Machines:
 
 
 def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
-                   runner: BatchRunner, progress: bool = False,
-                   bundle_count: Optional[int] = None) -> None:
+                   runner: BatchRunner, progress: bool = False) -> None:
     """Run every plan's screens and full-length runs as cross-pair batches
     and publish the finished :class:`WorkloadResult` objects to the memo.
 
@@ -332,18 +330,15 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
     worker pool never drains between pairs.
 
     Per-run work ships as :class:`~repro.runner.continuation.
-    ContinuationJob` bundles: ``bundle_count`` (default: the runner's
-    worker count) caps the number of worker jobs, each bundle executing
+    ContinuationJob` bundles, at most one per worker, each executing
     its runs back-to-back inside one process. Exact-mode screens are
     bundled exactly like full-length continuations, so the screen batch
-    is at most ``bundle_count`` jobs (plus the screening-mode ladders)
+    is at most ``runner.workers`` jobs (plus the screening-mode ladders)
     instead of one job per candidate mapping — with bit-identical
     results and unchanged per-run cache identities
     (:meth:`~repro.runner.continuation.ContinuationRun.as_sim_job`).
     """
-    n_bundles = bundle_count if bundle_count is not None else runner.workers
-    if n_bundles < 1:
-        n_bundles = 1
+    n_bundles = runner.workers
     machines = _Machines(runner)
 
     # --- phase 1: screens (plus single-mapping pairs' only runs) ---------
@@ -426,8 +421,7 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
             print(f"  full-length continuations: {len(full_runs)} runs "
                   f"({len(new)} simulated) in "
                   f"{min(len(new), n_bundles)} bundles ...", flush=True)
-        simulated = (run_bundled(runner, list(new.values()), n_bundles)
-                     if new else [])
+        simulated = run_bundled(runner, list(new.values())) if new else []
         for (p, m), r in zip(full_owners,
                              machines.publish(full_runs, keys, new, simulated)):
             p.full_results[m] = r
@@ -489,7 +483,6 @@ def run_performance_experiment(
     workers: Optional[int] = None,
     runner: Optional[BatchRunner] = None,
     screening: bool = False,
-    bundle_count: Optional[int] = None,
 ) -> Dict[str, Dict[str, WorkloadResult]]:
     """The full sweep behind Figs. 4 and 5: results[config][workload].
 
@@ -502,11 +495,6 @@ def run_performance_experiment(
     validated approximation (same selections as exact mode on the
     reference scenario, asserted by tests) that roughly halves screening
     work; the default remains the exact screen.
-
-    ``bundle_count`` caps the number of full-length
-    :class:`~repro.runner.continuation.ContinuationJob` bundles per batch
-    (default: the runner's worker count); results are identical for any
-    value — it is purely a scheduling knob.
 
     Parallel batches run supervised (retry/timeout/pool respawn; see
     :mod:`repro.runner.resilience`); with ``progress=True`` the sweep
@@ -545,8 +533,7 @@ def run_performance_experiment(
             if progress:  # pragma: no cover - console feedback only
                 print(f"  sweep: {len(todo)} (config, workload) pairs ...",
                       flush=True)
-            _execute_plans(todo, scale, runner, progress=progress,
-                           bundle_count=bundle_count)
+            _execute_plans(todo, scale, runner, progress=progress)
             if progress:  # pragma: no cover - console feedback only
                 print(f"  {runner.report.describe()}", flush=True)
                 if runner.report.eventful:

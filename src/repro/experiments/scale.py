@@ -9,9 +9,9 @@ lower-noise run; ``0.25`` for a quick smoke pass).
 
 from __future__ import annotations
 
-import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+from repro.settings import Settings
 
 __all__ = ["ExperimentScale", "default_scale"]
 
@@ -50,37 +50,13 @@ class ExperimentScale:
         return (self.commit_target, self.screen_target, self.max_mappings)
 
 
-def _positive_env(name: str, parse, kind: str):
-    """``parse`` of env var ``name``, or None when it is unset or empty.
-
-    Anything else that is not a finite positive ``kind`` is refused with
-    a ValueError naming the variable: a zero mapping cap would silently
-    collapse every oracle to the heuristic's mapping.
-    """
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = parse(raw)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a positive {kind}, got {raw!r}")
-    return value
-
-
 def default_scale() -> ExperimentScale:
     """The default scale, adjusted by the REPRO_SIM_SCALE and
     REPRO_MAX_MAPPINGS env vars."""
+    settings = Settings.from_env()
     base = ExperimentScale()
-    factor = _positive_env("REPRO_SIM_SCALE", float, "number")
-    if factor is not None:
-        base = base.scaled(factor)
-    cap = _positive_env("REPRO_MAX_MAPPINGS", int, "integer")
-    if cap is not None:
-        base = ExperimentScale(
-            commit_target=base.commit_target,
-            screen_target=base.screen_target,
-            max_mappings=cap,
-        )
+    if settings.sim_scale is not None:
+        base = base.scaled(settings.sim_scale)
+    if settings.max_mappings is not None:
+        base = replace(base, max_mappings=settings.max_mappings)
     return base

@@ -50,7 +50,6 @@ runner. Pass ``trace_store=False`` to disable the machinery entirely.
 
 from __future__ import annotations
 
-import logging
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -70,13 +69,12 @@ from repro.runner.cache import ResultCache
 from repro.runner.distributed import DistributedExecutor, JobQueue
 from repro.runner.jobs import SimJob
 from repro.runner.resilience import RetryPolicy, RunReport, SupervisedExecutor
+from repro.settings import Settings
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hierarchy import MemoryParams
 
 __all__ = ["BatchRunner", "SimJob", "resolve_workers"]
-
-logger = logging.getLogger(__name__)
 
 #: Fewer jobs than this run inline: process spawn + pickle overhead would
 #: exceed the win (a full-length run takes ~100 ms, a screen far less).
@@ -90,24 +88,9 @@ _MIN_PARALLEL_HEAVY = 2
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit argument > ``REPRO_WORKERS`` > cpu count."""
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            # Log what the `from None` below swallows before refusing the
-            # value — a sweep dying on a typo'd env var must say why.
-            logger.warning(
-                "invalid REPRO_WORKERS=%r: not an integer; refusing to "
-                "guess a worker count",
-                env,
-            )
-            raise ValueError(
-                f"REPRO_WORKERS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
+    if workers is None:
+        workers = Settings.from_env().workers or os.cpu_count() or 1
+    return max(1, workers)
 
 
 # Module-level so ProcessPoolExecutor can pickle it by reference. The
@@ -152,8 +135,9 @@ def _execute_job_supervised(job):
     from repro.runner.faults import maybe_inject_fault
 
     maybe_inject_fault(job)
+    # A memory tier living for one job could never hit.
     cache = (
-        ResultCache(_WORKER_CACHE_DIR)
+        ResultCache(_WORKER_CACHE_DIR, mem_cache_mb=0)
         if _WORKER_CACHE_DIR is not None
         else None
     )
@@ -225,9 +209,8 @@ class BatchRunner:
     policy:
         :class:`~repro.runner.resilience.RetryPolicy` for the supervised
         dispatch (attempt budget, backoff, per-job timeout, respawn
-        budget); defaults to :meth:`RetryPolicy.from_env`
-        (``REPRO_JOB_TIMEOUT`` / ``REPRO_MAX_ATTEMPTS`` /
-        ``REPRO_RETRY_BACKOFF`` / ``REPRO_MAX_POOL_RESPAWNS``).
+        budget); defaults to the environment's
+        (:meth:`repro.settings.Settings.retry_policy`).
     queue_dir:
         Distributed-execution job-queue directory; defaults to
         ``REPRO_DIST_QUEUE``; None (and no env) keeps execution local.
@@ -261,11 +244,12 @@ class BatchRunner:
         self._supervisor: Optional[SupervisedExecutor] = None  # before any raise
         self._own_store_tmp: Optional[tempfile.TemporaryDirectory] = None
         self._closed = False
+        settings = Settings.from_env()
         self.workers = resolve_workers(workers)
-        self.policy = policy if policy is not None else RetryPolicy.from_env()
+        self.policy = policy if policy is not None else settings.retry_policy()
         self.report = RunReport()
         if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_RESULT_CACHE") or None
+            cache_dir = settings.result_cache
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.cache = (
             ResultCache(self.cache_dir, mem_cache_mb=mem_cache_mb)
@@ -273,7 +257,7 @@ class BatchRunner:
             else None
         )
         if trace_store is None:
-            trace_store = os.environ.get("REPRO_TRACE_CACHE") or None
+            trace_store = settings.trace_cache
         if trace_store is False:
             self.store_dir: Optional[str] = None
         elif trace_store is None:
@@ -290,7 +274,7 @@ class BatchRunner:
         self._packed_triples: Set[Tuple[str, int, int]] = set()
         self.jobs_run = 0
         if queue_dir is None:
-            queue_dir = os.environ.get("REPRO_DIST_QUEUE") or None
+            queue_dir = settings.dist_queue
         self.queue_dir = str(queue_dir) if queue_dir is not None else None
         self.queue = JobQueue(self.queue_dir) if self.queue_dir else None
         self._distributor: Optional[DistributedExecutor] = None

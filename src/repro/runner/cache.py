@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from collections import OrderedDict
@@ -42,6 +41,7 @@ from typing import Iterator, NamedTuple, Optional, Protocol, Tuple
 
 from repro.core.simulation import SimResult
 from repro.ioutil import atomic_write_bytes
+from repro.settings import Settings
 from repro.trace.packed import PACK_FORMAT_VERSION
 
 __all__ = [
@@ -276,21 +276,6 @@ class FilesystemBackend:
         return len(seen)
 
 
-def _env_mem_budget_mb() -> float:
-    raw = os.environ.get("REPRO_MEM_CACHE_MB")
-    if not raw:
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        logger.warning("ignoring REPRO_MEM_CACHE_MB=%r: not a finite number",
-                       raw)
-        return 0.0
-    return max(0.0, value)
-
-
 class ResultCache:
     """Tiered result store, keyed by job content hash.
 
@@ -329,10 +314,9 @@ class ResultCache:
         #: per-tier hit split (``hits`` stays the total, as before)
         self.mem_hits = 0
         self.disk_hits = 0
-        budget_mb = (
-            mem_cache_mb if mem_cache_mb is not None else _env_mem_budget_mb()
-        )
-        self.mem_budget_bytes = int(max(0.0, budget_mb) * 1024 * 1024)
+        if mem_cache_mb is None:
+            mem_cache_mb = Settings.from_env().mem_cache_mb or 0.0
+        self.mem_budget_bytes = int(max(0.0, mem_cache_mb) * 1024 * 1024)
         #: key -> (payload, serialized size); insertion order = LRU order
         self._mem: "OrderedDict[str, Tuple[dict, int]]" = OrderedDict()
         self._mem_bytes = 0

@@ -8,10 +8,9 @@ executes exactly the :class:`~repro.runner.jobs.SimJob` it replaces
 (``as_sim_job`` — one shared implementation, zero drift surface), so a
 bundled run is bit-identical to per-job dispatch. The experiment sweep
 partitions its run plans — full-length continuations *and* exact-mode
-screens — into ``bundle_count`` bundles (defaulting to the worker
-count) with :func:`plan_bundles`; :func:`run_bundled` wraps the round
-trip and hands results back in original run order via
-:func:`unbundle_results`.
+screens — into one bundle per worker with :func:`plan_bundles`;
+:func:`run_bundled` wraps the round trip and hands results back in
+original run order via :func:`unbundle_results`.
 
 Runs are assigned round-robin: one (configuration, workload) pair's
 BEST/HEUR/WORST runs (or a pair's screen candidates) land in different
@@ -175,20 +174,10 @@ def unbundle_results(
     return out
 
 
-def run_bundled(
-    runner,
-    runs: Sequence[ContinuationRun],
-    bundle_count: Optional[int] = None,
-) -> List[SimResult]:
-    """Execute ``runs`` as round-robin bundles through ``runner`` and
-    return results in original run order.
-
-    ``bundle_count`` defaults to the runner's worker count; it is purely
-    a scheduling knob — results are bit-identical to per-run dispatch
-    for any value (pinned by ``tests/runner/test_continuation.py``).
+def run_bundled(runner, runs: Sequence[ContinuationRun]) -> List[SimResult]:
+    """Execute ``runs`` as one round-robin bundle per ``runner`` worker and
+    return results in original run order — bit-identical to per-run
+    dispatch (pinned by ``tests/runner/test_continuation.py``).
     """
-    n_bundles = bundle_count if bundle_count is not None else runner.workers
-    if n_bundles < 1:
-        n_bundles = 1
-    jobs = plan_bundles(runs, n_bundles)
+    jobs = plan_bundles(runs, runner.workers)
     return unbundle_results(runner.run(jobs), len(runs))

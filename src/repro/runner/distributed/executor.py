@@ -47,7 +47,6 @@ reports how eventful its distributed execution was.
 from __future__ import annotations
 
 import logging
-import os
 import statistics
 import time
 import uuid
@@ -55,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.distributed.queue import JobQueue, base_task_id
 from repro.runner.resilience import JobError, RetryPolicy, RunReport
+from repro.settings import Settings
 
 __all__ = ["DistributedExecutor"]
 
@@ -62,17 +62,6 @@ logger = logging.getLogger(__name__)
 
 #: Suffix marking a speculative twin's task id (``<base>~s<n>``).
 _SPEC_MARK = "~s"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        logger.warning("ignoring %s=%r: not a number", name, raw)
-        return default
 
 
 class DistributedExecutor:
@@ -112,33 +101,22 @@ class DistributedExecutor:
         spec_min_seconds: float = 1.0,
         stall_seconds: Optional[float] = None,
     ) -> None:
+        settings = Settings.from_env()
         self.queue = queue
-        self.policy = policy if policy is not None else RetryPolicy.from_env()
+        self.policy = policy if policy is not None else settings.retry_policy()
         self.report = report if report is not None else RunReport()
-        self.grace = (
-            grace if grace is not None else _env_float("REPRO_DIST_GRACE", 5.0)
-        )
-        self.lease_ttl = (
-            lease_ttl
-            if lease_ttl is not None
-            else _env_float("REPRO_LEASE_TTL", 10.0)
-        )
+        self.grace = grace if grace is not None else settings.dist_grace
+        self.lease_ttl = lease_ttl if lease_ttl is not None else settings.lease_ttl
         self.poll_interval = poll_interval
         self.spec_quantile = (
-            spec_quantile
-            if spec_quantile is not None
-            else _env_float("REPRO_SPEC_QUANTILE", 0.5)
+            spec_quantile if spec_quantile is not None else settings.spec_quantile
         )
         self.spec_factor = (
-            spec_factor
-            if spec_factor is not None
-            else _env_float("REPRO_SPEC_FACTOR", 3.0)
+            spec_factor if spec_factor is not None else settings.spec_factor
         )
         self.spec_min_seconds = spec_min_seconds
         self.stall_seconds = (
-            stall_seconds
-            if stall_seconds is not None
-            else _env_float("REPRO_DIST_STALL", 60.0)
+            stall_seconds if stall_seconds is not None else settings.dist_stall
         )
 
     # -- helpers -----------------------------------------------------------

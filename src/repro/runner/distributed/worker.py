@@ -48,6 +48,7 @@ from typing import Optional
 from repro.runner.cache import ResultCache
 from repro.runner.distributed.queue import JobQueue, base_task_id
 from repro.runner.resilience import RetryPolicy
+from repro.settings import Settings
 
 __all__ = ["Worker", "run_worker"]
 
@@ -137,7 +138,9 @@ class Worker:
             if heartbeat_interval is not None
             else self.lease_ttl / 3.0
         )
-        self.policy = policy if policy is not None else RetryPolicy.from_env()
+        self.policy = (
+            policy if policy is not None else Settings.from_env().retry_policy()
+        )
         config = self.queue.read_config()
         self.cache_dir = cache_dir if cache_dir is not None else config.get("cache_dir")
         self.store_dir = store_dir if store_dir is not None else config.get("store_dir")
@@ -146,10 +149,7 @@ class Worker:
         self.idle_exit = idle_exit
         self.poll_interval = poll_interval
         self.tasks_done = 0
-        seed = os.environ.get("REPRO_RETRY_JITTER_SEED")
-        self._rng = random.Random(
-            f"{seed}:{self.worker_id}" if seed else None
-        )
+        self._rng = random.Random()  # backoff jitter
 
     # -- environment -------------------------------------------------------
 
@@ -288,10 +288,13 @@ def run_worker(args) -> int:
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
+    lease_ttl = args.lease_ttl
+    if lease_ttl is None:
+        lease_ttl = Settings.from_env().lease_ttl
     worker = Worker(
         args.queue,
         worker_id=args.worker_id,
-        lease_ttl=args.lease_ttl,
+        lease_ttl=lease_ttl,
         heartbeat_interval=args.heartbeat,
         cache_dir=args.cache,
         store_dir=args.store,

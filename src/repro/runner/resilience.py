@@ -48,7 +48,6 @@ import copy
 import heapq
 import itertools
 import logging
-import os
 import random
 import time
 from collections import deque
@@ -82,31 +81,11 @@ class JobTimeoutError(JobError):
     """A job's final attempt exceeded its wall-clock budget."""
 
 
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        logger.warning("ignoring %s=%r: not a number", name, raw)
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        logger.warning("ignoring %s=%r: not an integer", name, raw)
-        return default
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Fault-handling knobs for one :class:`SupervisedExecutor`.
+    """Fault-handling knobs for one :class:`SupervisedExecutor`
+    (:meth:`repro.settings.Settings.retry_policy` builds the one the
+    ``REPRO_*`` environment describes).
 
     max_attempts:
         Executions a job may consume (first try included) before its
@@ -120,8 +99,8 @@ class RetryPolicy:
         whole bundle failed by one event does not retry in lockstep
         (the thundering-herd fix; also spreads a distributed fleet's
         post-failure re-claims).  ``0`` (the default) keeps delays
-        exact; deterministic when the caller seeds the RNG
-        (``REPRO_RETRY_JITTER_SEED``).
+        exact; deterministic when the caller passes a seeded RNG to
+        :meth:`backoff_for`.
     timeout:
         Per-job wall-clock budget in seconds, measured from submission
         — which coincides with the job starting, because the executor
@@ -142,23 +121,6 @@ class RetryPolicy:
     timeout: Optional[float] = None
     heavy_timeout_factor: float = 4.0
     max_pool_respawns: int = 3
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy from the environment: ``REPRO_JOB_TIMEOUT`` (seconds,
-        unset disables deadlines), ``REPRO_MAX_ATTEMPTS``,
-        ``REPRO_RETRY_BACKOFF`` (base seconds), ``REPRO_RETRY_JITTER``
-        (fractional delay spread, e.g. ``0.5`` for ±25%),
-        ``REPRO_MAX_POOL_RESPAWNS``."""
-        return cls(
-            max_attempts=max(1, _env_int("REPRO_MAX_ATTEMPTS", cls.max_attempts)),
-            backoff_base=_env_float("REPRO_RETRY_BACKOFF", cls.backoff_base),
-            jitter=max(0.0, _env_float("REPRO_RETRY_JITTER", cls.jitter)),
-            timeout=_env_float("REPRO_JOB_TIMEOUT", None),
-            max_pool_respawns=max(
-                0, _env_int("REPRO_MAX_POOL_RESPAWNS", cls.max_pool_respawns)
-            ),
-        )
 
     def timeout_for(self, job) -> Optional[float]:
         """The job's wall-clock budget (heavy jobs get a larger one)."""
@@ -355,10 +317,7 @@ class SupervisedExecutor:
         self._max_inflight = max_inflight
         self._pool = None
         self._inline_only = False
-        # Jitter RNG: seeded (deterministic schedule) when
-        # REPRO_RETRY_JITTER_SEED is set, fresh entropy otherwise.
-        seed = os.environ.get("REPRO_RETRY_JITTER_SEED")
-        self._rng = random.Random(seed if seed else None)
+        self._rng = random.Random()  # backoff jitter
 
     # -- pool lifecycle ----------------------------------------------------
 

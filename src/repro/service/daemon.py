@@ -26,7 +26,8 @@ from typing import Optional
 
 from repro.service.client import ServiceClient, ServiceRequestError
 from repro.service.protocol import MAX_FRAME_BYTES, canonical_dumps
-from repro.service.server import ReproService
+from repro.service.server import DEFAULT_FRAME_MB, ReproService
+from repro.settings import Settings
 
 __all__ = ["run_serve", "run_submit", "run_status"]
 
@@ -93,14 +94,15 @@ async def _serve(service: ReproService, socket_path: Optional[str],
 
 def run_serve(args) -> int:
     """``repro serve`` entry point (argparse namespace in, status out)."""
-    from repro.runner import BatchRunner, RetryPolicy
+    from repro.runner import BatchRunner
 
     _configure_logging(args.quiet)
     if (args.socket is None) == (args.port is None):
         print("error: give exactly one of --socket or --port",
               file=sys.stderr)
         return 2
-    cache_dir = args.cache or os.environ.get("REPRO_RESULT_CACHE")
+    settings = Settings.from_env()
+    cache_dir = args.cache or settings.result_cache
     own_cache_tmp = None
     if not cache_dir:
         # The warm tier and the idempotency contract need a cache; a
@@ -110,23 +112,23 @@ def run_serve(args) -> int:
         logger.info("no result cache configured; using private %s "
                     "(set --cache/REPRO_RESULT_CACHE to share across "
                     "instances)", cache_dir)
-    policy = RetryPolicy.from_env()
-    # Long-lived instance: turn the result cache's memory tier on (same
-    # budget knob as the frame tier) unless REPRO_MEM_CACHE_MB says 0.
-    from repro.service.server import _env_frame_budget_mb
-
+    # Long-lived instance: the result cache's memory tier gets the frame
+    # tier's budget (on unless REPRO_MEM_CACHE_MB says 0).
+    mem_cache_mb = settings.mem_cache_mb
+    if mem_cache_mb is None:
+        mem_cache_mb = DEFAULT_FRAME_MB
     runner = BatchRunner(
         workers=args.jobs,
         cache_dir=cache_dir,
-        policy=policy,
         queue_dir=args.queue,
-        mem_cache_mb=_env_frame_budget_mb(),
+        mem_cache_mb=mem_cache_mb,
     )
     service = ReproService(
         runner,
         cache=runner.cache,
         max_queue=args.max_queue,
         progress_interval=args.progress_interval,
+        frame_cache_mb=mem_cache_mb,
     )
     try:
         asyncio.run(_serve(service, args.socket, args.host, args.port))

@@ -47,8 +47,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import math
-import os
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +61,7 @@ from repro.service.protocol import (
     response_payload,
     version_banner,
 )
+from repro.settings import Settings
 
 __all__ = [
     "Flight",
@@ -74,21 +73,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Default rendered-frame budget (MB) when ``REPRO_MEM_CACHE_MB`` is
-#: unset: the daemon is the multi-tenant warm path, so its frame tier is
-#: on unless explicitly zeroed.
-_DEFAULT_FRAME_MB = 64.0
-
-
-def _env_frame_budget_mb() -> float:
-    raw = os.environ.get("REPRO_MEM_CACHE_MB")
-    if raw is None:
-        return _DEFAULT_FRAME_MB
-    try:
-        value = float(raw)
-    except ValueError:
-        return _DEFAULT_FRAME_MB
-    return max(0.0, value) if math.isfinite(value) else _DEFAULT_FRAME_MB
+#: Rendered-frame budget (MB) when ``REPRO_MEM_CACHE_MB`` is unset: the
+#: daemon is the multi-tenant warm path, so its frame tier is on unless
+#: explicitly zeroed.
+DEFAULT_FRAME_MB = 64.0
 
 
 class ServiceError(Exception):
@@ -198,7 +186,9 @@ class ReproService:
         self.max_queue = max(1, int(max_queue))
         self.progress_interval = progress_interval
         if frame_cache_mb is None:
-            frame_cache_mb = _env_frame_budget_mb()
+            frame_cache_mb = Settings.from_env().mem_cache_mb
+        if frame_cache_mb is None:
+            frame_cache_mb = DEFAULT_FRAME_MB
         self.frame_budget_bytes = int(max(0.0, float(frame_cache_mb)) * 1024 * 1024)
         self._frames: "OrderedDict[str, bytes]" = OrderedDict()
         self._frame_bytes = 0

@@ -36,34 +36,6 @@ def test_env_override(monkeypatch):
     assert default_scale().max_mappings == 5
 
 
-@pytest.mark.parametrize(
-    "name,value",
-    [
-        ("REPRO_SIM_SCALE", "abc"),
-        ("REPRO_SIM_SCALE", "0"),
-        ("REPRO_SIM_SCALE", "-0.5"),
-        ("REPRO_SIM_SCALE", "nan"),
-        ("REPRO_SIM_SCALE", "inf"),
-        ("REPRO_MAX_MAPPINGS", "abc"),
-        ("REPRO_MAX_MAPPINGS", "0"),
-        ("REPRO_MAX_MAPPINGS", "-2"),
-        ("REPRO_MAX_MAPPINGS", "2.5"),
-    ],
-)
-def test_env_override_rejects_non_positive_values(monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    with pytest.raises(ValueError, match=name):
-        default_scale()
-
-
-@pytest.mark.parametrize("name", ["REPRO_SIM_SCALE", "REPRO_MAX_MAPPINGS"])
-def test_empty_env_override_keeps_default(monkeypatch, name):
-    monkeypatch.delenv("REPRO_SIM_SCALE", raising=False)
-    monkeypatch.delenv("REPRO_MAX_MAPPINGS", raising=False)
-    monkeypatch.setenv(name, "")
-    assert default_scale() == ExperimentScale()
-
-
 def test_cache_key_distinguishes():
     a = ExperimentScale(commit_target=1000)
     b = ExperimentScale(commit_target=2000)

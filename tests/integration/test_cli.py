@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_run_with_workload(capsys):
@@ -105,6 +105,66 @@ def test_worker_cli_serves_queue(tmp_path):
     assert record is not None
     assert record["worker"] == "cliw"
     assert record["result"] == job.execute()
+
+
+def test_worker_lease_ttl_defaults_to_the_front_end_setting(tmp_path,
+                                                            monkeypatch):
+    """`repro worker` and the front end read one REPRO_LEASE_TTL; the
+    flag still wins."""
+    from repro.runner.distributed import worker as worker_mod
+
+    built = []
+    monkeypatch.setattr(worker_mod.Worker, "run",
+                        lambda self: built.append(self) or 0)
+    monkeypatch.setenv("REPRO_LEASE_TTL", "7.5")
+    queue = ["worker", "--queue", str(tmp_path / "q")]
+    assert worker_mod.run_worker(build_parser().parse_args(queue)) == 0
+    assert built[-1].lease_ttl == 7.5
+    assert built[-1].heartbeat_interval == 2.5
+    args = build_parser().parse_args(queue + ["--lease-ttl", "3"])
+    assert worker_mod.run_worker(args) == 0
+    assert built[-1].lease_ttl == 3.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["figures", "--scale", "0"],
+    ["figures", "--scale", "-1"],
+    ["figures", "--scale", "nan"],
+    ["figures", "--scale", "inf"],
+    ["figures", "--jobs", "0"],
+    ["figures", "--job-timeout", "nan"],
+    ["figures", "--job-timeout", "-1"],
+    ["figures", "--max-attempts", "0"],
+    ["figures", "--bundles", "2"],
+    ["worker", "--queue", "q", "--lease-ttl", "0"],
+    ["worker", "--queue", "q", "--heartbeat", "nan"],
+    ["serve", "--jobs", "0"],
+    ["serve", "--max-queue", "0"],
+    ["serve", "--progress-interval", "-1"],
+    ["submit", "--timeout", "inf"],
+])
+def test_bad_numbers_exit_2_naming_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_bad_environment_exits_2_naming_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["areas"])
+    assert exc.value.code == 2
+    assert "REPRO_WORKERS must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_good_numbers_parse():
+    args = build_parser().parse_args(
+        ["figures", "--scale", "0.5", "--jobs", "2", "--job-timeout", "0",
+         "--max-attempts", "1"]
+    )
+    assert (args.scale, args.jobs, args.job_timeout, args.max_attempts) == (
+        0.5, 2, 0.0, 1)
 
 
 def test_unknown_command_rejected():

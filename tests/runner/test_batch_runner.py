@@ -13,7 +13,6 @@ from repro.experiments.performance import (
     run_performance_experiment,
 )
 from repro.runner import BatchRunner, ResultCache, SimJob
-from repro.runner.batch import resolve_workers
 from repro.trace.benchmarks import BENCHMARK_NAMES
 from repro.trace.packed import PackedTrace, PackedTraceStore
 from repro.trace.profiling import clear_profile_cache, ensure_profiles, profile_benchmark
@@ -201,15 +200,6 @@ def test_private_store_cleaned_up_on_close(sim_jobs):
 
     assert runner.store_dir is None
     assert not os.path.exists(store_dir)
-
-
-def test_resolve_workers(monkeypatch):
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_workers() == 5
-    monkeypatch.delenv("REPRO_WORKERS")
-    assert resolve_workers() >= 1
 
 
 def test_performance_experiment_identical_across_worker_counts(tiny_scale):

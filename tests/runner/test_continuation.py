@@ -159,7 +159,7 @@ def test_sweep_resume_counts_match_exact_mode_run_counts(tiny_scale):
         _plan_pair(cn, get_workload(wn), tiny_scale, screening=False)
         for cn in configs for wn in workloads
     ]
-    _execute_plans(plans, tiny_scale, runner, bundle_count=None)
+    _execute_plans(plans, tiny_scale, runner)
     assert len(runner.batches) == 2  # screens (+singles), then continuations
 
     singles = [p for p in plans if p.single_map is not None]
@@ -245,15 +245,4 @@ def test_screen_batch_does_not_grow_with_max_mappings(tiny_scale, screening):
         sizes.add(len(screen_batch))
     if screening:
         assert len(sizes) == 1
-    clear_result_cache()
-
-
-def test_bundle_count_knob_caps_phase2_jobs(tiny_scale):
-    clear_result_cache()
-    runner = RecordingRunner(reported_workers=8)
-    plans = [_plan_pair("2M4+2M2", get_workload("2W7"), tiny_scale,
-                        screening=False)]
-    _execute_plans(plans, tiny_scale, runner, bundle_count=1)
-    phase2 = runner.batches[1]
-    assert len(phase2) == 1 and isinstance(phase2[0], ContinuationJob)
     clear_result_cache()

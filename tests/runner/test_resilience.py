@@ -3,7 +3,6 @@ policy/report plumbing, submission/deadline/salvage semantics, Ctrl-C
 behaviour, lifecycle hygiene."""
 
 import dataclasses
-import logging
 import time
 from concurrent.futures import BrokenExecutor, Future
 
@@ -16,7 +15,6 @@ from repro.runner import (
     SimJob,
     SupervisedExecutor,
 )
-from repro.runner.batch import resolve_workers
 from repro.runner.resilience import JobError, _BatchState, _Flight
 
 
@@ -92,28 +90,6 @@ def test_heavy_jobs_get_a_larger_timeout_budget(sim_jobs):
     assert p.timeout_for(light) == pytest.approx(10.0)
     assert p.timeout_for(heavy) == pytest.approx(40.0)
     assert RetryPolicy(timeout=None).timeout_for(light) is None
-
-
-def test_policy_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "5")
-    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-    monkeypatch.setenv("REPRO_MAX_POOL_RESPAWNS", "1")
-    p = RetryPolicy.from_env()
-    assert p.max_attempts == 5
-    assert p.timeout == pytest.approx(12.5)
-    assert p.backoff_base == pytest.approx(0.25)
-    assert p.max_pool_respawns == 1
-
-
-def test_policy_from_env_ignores_garbage(monkeypatch, caplog):
-    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "lots")
-    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
-    with caplog.at_level(logging.WARNING, logger="repro.runner.resilience"):
-        p = RetryPolicy.from_env()
-    assert p.max_attempts == RetryPolicy.max_attempts
-    assert p.timeout is None
-    assert len([r for r in caplog.records if "ignoring" in r.message]) == 2
 
 
 # ------------------------------------------------- supervision internals
@@ -381,14 +357,6 @@ def test_supervised_executor_close_idempotent():
     ex.close(kill=True)
 
 
-def test_resolve_workers_logs_invalid_env(monkeypatch, caplog):
-    monkeypatch.setenv("REPRO_WORKERS", "many")
-    with caplog.at_level(logging.WARNING, logger="repro.runner.batch"):
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_workers()
-    assert any("invalid REPRO_WORKERS" in r.message for r in caplog.records)
-
-
 # ------------------------------------------------------------- retry jitter
 
 
@@ -416,22 +384,6 @@ def test_zero_jitter_keeps_exact_legacy_schedule():
     assert policy.backoff_for(1) == pytest.approx(0.1)
     assert policy.backoff_for(2) == pytest.approx(0.2)
     assert policy.backoff_for(5) == pytest.approx(1.0)  # clamped
-
-
-def test_jitter_policy_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_JITTER", "0.3")
-    assert RetryPolicy.from_env().jitter == pytest.approx(0.3)
-    monkeypatch.setenv("REPRO_RETRY_JITTER", "-1")
-    assert RetryPolicy.from_env().jitter == 0.0  # clamped, never negative
-
-
-def test_supervised_executor_jitter_rng_seeded_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_JITTER_SEED", "421")
-    a = SupervisedExecutor(pool_factory=None, worker_fn=None, inline_fn=None)
-    b = SupervisedExecutor(pool_factory=None, worker_fn=None, inline_fn=None)
-    assert [a._rng.random() for _ in range(5)] == [
-        b._rng.random() for _ in range(5)
-    ]
 
 
 def test_run_report_distributed_counters_round_trip():

@@ -120,15 +120,6 @@ def test_frame_budget_env_default(runner, monkeypatch):
     assert ReproService(runner).frame_budget_bytes == 0
 
 
-@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
-def test_frame_budget_env_non_finite_uses_default(runner, monkeypatch, raw):
-    """A non-finite budget falls back to the default like an unparsable
-    one (``inf`` used to raise OverflowError at start, ``nan`` silently
-    disabled the tier)."""
-    monkeypatch.setenv("REPRO_MEM_CACHE_MB", raw)
-    assert ReproService(runner).frame_budget_bytes == 64 * 1024 * 1024
-
-
 def test_frame_lru_eviction(runner):
     service = ReproService(runner, frame_cache_mb=1)
     service.frame_budget_bytes = 64
