@@ -28,9 +28,9 @@
 #                 past lease expiry, stale-lease takeover, speculative
 #                 straggler twins), asserting bit-identical output + an
 #                 eventful run report
-#   make cache-smoke  multi-tier result cache: memory-tier/backend
-#                 semantics, the rendered-frame tier, and the `repro
-#                 cache` CLI verbs
+#   make cache-smoke  the result cache (sharded layout, corruption
+#                 fallback, stats/prune, key pins), the service's
+#                 rendered-frame LRU, and the `repro cache` CLI verbs
 #   make serve-smoke  simulation service: boot a real `repro serve`
 #                 daemon, submit the reference sweep, assert the
 #                 response byte-identical to the local execution path,
@@ -64,9 +64,10 @@ serve-smoke:
 
 cache-smoke:
 	$(PYTHON) -m pytest -x -q \
-		tests/runner/test_cache_tiers.py \
+		tests/runner/test_result_cache.py \
 		tests/service/test_frame_cache.py \
-		tests/integration/test_cli.py::test_cache_stats_and_prune
+		tests/integration/test_cli.py::test_cache_stats_and_prune \
+		tests/integration/test_cli.py::test_cache_prune_bad_age_exits_2_and_deletes_nothing
 
 lint:
 	ruff check src tests benchmarks

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -177,8 +178,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return run_status(args)
 
 
-def _parse_age(text: str) -> float:
-    """An age in seconds from ``3600`` / ``15m`` / ``12h`` / ``7d``."""
+def age_seconds(text: str) -> float:
+    """An age in seconds from ``3600`` / ``15m`` / ``12h`` / ``7d``: a
+    finite number >= 0 with an optional s/m/h/d suffix."""
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
     t = text.strip().lower()
     mult = units.get(t[-1:])
@@ -186,7 +188,10 @@ def _parse_age(text: str) -> float:
         t = t[:-1]
     else:
         mult = 1.0
-    return float(t) * mult
+    seconds = non_negative_float(t) * mult
+    if seconds == math.inf:  # a finite count of days can overflow
+        raise ValueError(text)
+    return seconds
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -201,13 +206,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_cmd == "stats":
         print(json.dumps(cache.stats(), indent=2, sort_keys=True))
         return 0
-    try:
-        age = _parse_age(args.older_than)
-    except ValueError:
-        print(f"error: bad age {args.older_than!r} "
-              "(use e.g. 3600, 15m, 12h, 7d)", file=sys.stderr)
-        return 2
-    print(json.dumps(cache.prune(age), indent=2, sort_keys=True))
+    print(json.dumps(cache.prune(args.older_than), indent=2, sort_keys=True))
     return 0
 
 
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_cmd", required=True)
     p_cstats = cache_sub.add_parser(
         "stats",
-        help="entry count, total bytes, per-tier hit/miss/corrupt counters",
+        help="entry count and total bytes on disk",
     )
     p_cprune = cache_sub.add_parser(
         "prune",
@@ -472,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--older-than",
         required=True,
         dest="older_than",
+        type=age_seconds,
         help="age threshold: seconds, or 15m / 12h / 7d",
     )
 

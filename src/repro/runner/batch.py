@@ -135,11 +135,8 @@ def _execute_job_supervised(job):
     from repro.runner.faults import maybe_inject_fault
 
     maybe_inject_fault(job)
-    # A memory tier living for one job could never hit.
     cache = (
-        ResultCache(_WORKER_CACHE_DIR, mem_cache_mb=0)
-        if _WORKER_CACHE_DIR is not None
-        else None
+        ResultCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR is not None else None
     )
     result = job.execute(cache)
     stats = {"cache_fallbacks": cache.corrupt_fallbacks if cache else 0}
@@ -219,11 +216,6 @@ class BatchRunner:
         :mod:`repro.runner.distributed`), with automatic degradation to
         the local supervised pool when no worker shows up, the fleet
         goes dark, or progress stalls.
-    mem_cache_mb:
-        Budget for the result cache's in-process memory tier; ``None``
-        reads ``REPRO_MEM_CACHE_MB`` (default 0 = disk only).  Long-lived
-        callers (the serve daemon) opt in; one-shot sweeps gain nothing
-        from it.
 
     Results are independent of the worker count — simulations are pure
     functions of their job — so callers may treat ``workers`` purely as a
@@ -239,7 +231,6 @@ class BatchRunner:
         trace_store: Union[None, bool, str, os.PathLike] = None,
         policy: Optional[RetryPolicy] = None,
         queue_dir: Optional[Union[str, os.PathLike]] = None,
-        mem_cache_mb: Optional[float] = None,
     ) -> None:
         self._supervisor: Optional[SupervisedExecutor] = None  # before any raise
         self._own_store_tmp: Optional[tempfile.TemporaryDirectory] = None
@@ -251,11 +242,7 @@ class BatchRunner:
         if cache_dir is None:
             cache_dir = settings.result_cache
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.cache = (
-            ResultCache(self.cache_dir, mem_cache_mb=mem_cache_mb)
-            if self.cache_dir
-            else None
-        )
+        self.cache = ResultCache(self.cache_dir) if self.cache_dir else None
         if trace_store is None:
             trace_store = settings.trace_cache
         if trace_store is False:

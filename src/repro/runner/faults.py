@@ -221,7 +221,7 @@ def corrupt_cache_entry(cache, job, mode: str = "truncate") -> Path:
     it with non-JSON bytes. Returns the damaged path; raises
     ``FileNotFoundError`` when no entry exists to damage.
     """
-    path = cache._path(cache.job_key(job))
+    path = cache.path_for(cache.job_key(job))
     data = path.read_bytes()
     if mode == "truncate":
         path.write_bytes(data[: max(1, len(data) // 2)])

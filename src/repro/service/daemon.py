@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.service.client import ServiceClient, ServiceRequestError
 from repro.service.protocol import MAX_FRAME_BYTES, canonical_dumps
-from repro.service.server import DEFAULT_FRAME_MB, ReproService
+from repro.service.server import ReproService
 from repro.settings import Settings
 
 __all__ = ["run_serve", "run_submit", "run_status"]
@@ -112,23 +112,16 @@ def run_serve(args) -> int:
         logger.info("no result cache configured; using private %s "
                     "(set --cache/REPRO_RESULT_CACHE to share across "
                     "instances)", cache_dir)
-    # Long-lived instance: the result cache's memory tier gets the frame
-    # tier's budget (on unless REPRO_MEM_CACHE_MB says 0).
-    mem_cache_mb = settings.mem_cache_mb
-    if mem_cache_mb is None:
-        mem_cache_mb = DEFAULT_FRAME_MB
     runner = BatchRunner(
         workers=args.jobs,
         cache_dir=cache_dir,
         queue_dir=args.queue,
-        mem_cache_mb=mem_cache_mb,
     )
     service = ReproService(
         runner,
         cache=runner.cache,
         max_queue=args.max_queue,
         progress_interval=args.progress_interval,
-        frame_cache_mb=mem_cache_mb,
     )
     try:
         asyncio.run(_serve(service, args.socket, args.host, args.port))

@@ -21,8 +21,8 @@ traffic off the simulator:
    skips the per-job result-cache keys, the disk, the response
    rendering and the dispatch-thread hop (sized by
    ``REPRO_MEM_CACHE_MB``; counted as ``cache_served`` + ``frame_served``).
-3. **shared result cache** — a new flight first reads every job through
-   the runner's tiered :class:`~repro.runner.cache.ResultCache`; a
+3. **shared result cache on disk** — a new flight first reads every job
+   through the runner's :class:`~repro.runner.cache.ResultCache`; a
    fully warm request is served without touching the pool at all.
 4. **the pool itself** — cold jobs execute through ``runner.run`` with
    all of its supervision (retry, timeout, respawn, distributed
@@ -72,12 +72,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Rendered-frame budget (MB) when ``REPRO_MEM_CACHE_MB`` is unset: the
-#: daemon is the multi-tenant warm path, so its frame tier is on unless
-#: explicitly zeroed.
-DEFAULT_FRAME_MB = 64.0
-
 
 class ServiceError(Exception):
     """An admission/execution failure reported to the client as an error
@@ -168,9 +162,9 @@ class ReproService:
         Seconds between progress heartbeats to waiting subscribers.
     frame_cache_mb:
         Budget for the rendered-frame LRU (tier 2 of the docstring's
-        ladder).  ``None`` reads ``REPRO_MEM_CACHE_MB`` and falls back
-        to 64 MB; ``0`` disables the tier (every repeat request re-keys
-        through the result cache).
+        ladder).  ``None`` reads ``REPRO_MEM_CACHE_MB`` (default 64 MB);
+        ``0`` disables the tier (every repeat request re-keys through
+        the result cache).
     """
 
     def __init__(
@@ -187,8 +181,6 @@ class ReproService:
         self.progress_interval = progress_interval
         if frame_cache_mb is None:
             frame_cache_mb = Settings.from_env().mem_cache_mb
-        if frame_cache_mb is None:
-            frame_cache_mb = DEFAULT_FRAME_MB
         self.frame_budget_bytes = int(max(0.0, float(frame_cache_mb)) * 1024 * 1024)
         self._frames: "OrderedDict[str, bytes]" = OrderedDict()
         self._frame_bytes = 0

@@ -90,8 +90,8 @@ class Settings:
     result_cache: Optional[str] = _var("REPRO_RESULT_CACHE", path)
     trace_cache: Optional[str] = _var("REPRO_TRACE_CACHE", path)
     dist_queue: Optional[str] = _var("REPRO_DIST_QUEUE", path)
-    #: memory-tier budget; None = 0 for a ResultCache, 64 for serve
-    mem_cache_mb: Optional[float] = _var("REPRO_MEM_CACHE_MB", non_negative_float)
+    #: `repro serve`'s rendered-frame LRU budget (ReproService)
+    mem_cache_mb: float = _var("REPRO_MEM_CACHE_MB", non_negative_float, 64.0)
     sim_scale: Optional[float] = _var("REPRO_SIM_SCALE", positive_float)
     max_mappings: Optional[int] = _var("REPRO_MAX_MAPPINGS", positive_int)
     #: per-job deadline in seconds; None or 0 = no deadline

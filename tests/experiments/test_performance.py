@@ -173,5 +173,5 @@ def test_sweep_simulates_each_machine_once(tiny_scale, tmp_path, configs):
 
     cache = runner.cache
     for run in requested:
-        assert cache.backend.get_bytes(cache.job_key(run.as_sim_job()))
+        assert cache.path_for(cache.job_key(run.as_sim_job())).is_file()
     runner.close()

@@ -253,7 +253,7 @@ def test_cache_put_killed_between_write_and_rename(tmp_path):
     cache = ResultCache(tmp_path / "c")
     assert cache.get(JOB) is None
     assert cache.corrupt_fallbacks == 0  # a clean miss, not corruption
-    shard = cache._path(cache.job_key(JOB)).parent
+    shard = cache.path_for(cache.job_key(JOB)).parent
     assert list(shard.glob("*.tmp"))     # the orphan the rename never ran on
     result = JOB.execute()
     cache.put(JOB, result)               # repair path

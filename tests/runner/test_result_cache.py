@@ -1,8 +1,12 @@
-"""ResultCache robustness: corruption falls back to recompute, and cache
-keys track the packed-trace format version (a format bump must orphan
-every cached result, because packed traces feed the simulations)."""
+"""ResultCache: corruption falls back to recompute, cache keys track the
+packed-trace format version (a format bump must orphan every cached
+result, because packed traces feed the simulations) and stay
+byte-stable, entries keep the sharded on-disk layout, and stats/prune
+walk it."""
 
 import json
+import os
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,6 @@ from repro.runner import BatchRunner, ResultCache, SimJob
 from repro.runner.screening import ScreenJob
 from repro.service.protocol import request_key
 from repro.workloads.definitions import WORKLOADS
-
 
 
 def _cached_path(tmp_path, job):
@@ -129,49 +132,27 @@ def test_entries_land_in_two_hex_shards(tmp_path, sim_job):
     assert len(cache) == 1
 
 
-def test_flat_layout_migrates_at_construction(tmp_path, sim_job):
-    """A pre-sharding cache directory upgrades in place: the old flat
-    entry is moved into its shard and keeps hitting."""
-    cache = ResultCache(tmp_path)
+def test_entry_in_the_existing_layout_hits(tmp_path, sim_job):
+    """An entry written by an earlier release — same bytes at
+    ``<dir>/<key[:2]>/<key>.json`` — keeps hitting; a stray flat
+    ``<dir>/<key>.json`` (the layout before sharding) is a plain miss."""
     result = sim_job.execute()
-    cache.put(sim_job, result)
     key = ResultCache.job_key(sim_job)
-    sharded = tmp_path / key[:2] / f"{key}.json"
-    flat = tmp_path / f"{key}.json"
-    flat.write_bytes(sharded.read_bytes())  # re-create the old layout
-    sharded.unlink()
-    (tmp_path / key[:2]).rmdir()
+    data = json.dumps(sim_job.result_payload(result)).encode()
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    (flat / f"{key}.json").write_bytes(data)
+    cache = ResultCache(flat)
+    assert cache.get(sim_job) is None
+    assert cache.corrupt_fallbacks == 0 and len(cache) == 0
 
-    fresh = ResultCache(tmp_path)
-    assert not flat.exists()
-    assert sharded.exists()
-    assert fresh.get(sim_job) == result
-    assert fresh.hits == 1
-
-
-def test_flat_entry_read_transparently_without_migration_pass(
-    tmp_path, sim_job
-):
-    """A flat entry that appears *after* construction (written by an
-    old-layout process sharing the directory) still hits — get() falls
-    back to the flat path and migrates the entry on first touch."""
-    cache = ResultCache(tmp_path)
-    result = sim_job.execute()
-    cache.put(sim_job, result)
-    key = ResultCache.job_key(sim_job)
-    sharded = tmp_path / key[:2] / f"{key}.json"
-    flat = tmp_path / f"{key}.json"
-    sharded.rename(flat)  # demote to the old layout post-construction
-
+    sharded = tmp_path / "sharded" / key[:2] / f"{key}.json"
+    sharded.parent.mkdir(parents=True)
+    sharded.write_bytes(data)
+    cache = ResultCache(tmp_path / "sharded")
+    assert cache.path_for(key) == sharded
     assert cache.get(sim_job) == result
-    assert cache.misses == 0
-    assert sharded.exists() and not flat.exists()  # migrated on touch
-
-
-def test_migration_leaves_foreign_files_alone(tmp_path):
-    (tmp_path / "README.json").write_text("{}")
-    ResultCache(tmp_path)
-    assert (tmp_path / "README.json").exists()
+    assert cache.hits == 1 and cache.misses == 0
 
 
 def test_screen_job_corrupted_entry_recomputes(tmp_path):
@@ -187,6 +168,120 @@ def test_screen_job_corrupted_entry_recomputes(tmp_path):
     assert cache.get(job) is None
     cache.put(job, job.execute())
     assert cache.get(job) == result
+
+
+# -- stats / prune ---------------------------------------------------------
+
+
+def test_stats_counts_entries_and_bytes(tmp_path, sim_job, sim_jobs):
+    cache = ResultCache(tmp_path)
+    assert cache.stats() == {"entries": 0, "total_bytes": 0}
+    cache.put(sim_job, sim_job.execute())
+    cache.put(sim_jobs[1], sim_jobs[1].execute())
+    (tmp_path / "README.json").write_text("{}")  # not in a shard: ignored
+    files = [_cached_path(tmp_path, j) for j in (sim_job, sim_jobs[1])]
+    assert cache.stats() == {
+        "entries": 2,
+        "total_bytes": sum(f.stat().st_size for f in files),
+    }
+    assert len(cache) == 2
+
+
+def test_prune_removes_only_old_entries(tmp_path, sim_job, sim_jobs):
+    cache = ResultCache(tmp_path)
+    cache.put(sim_job, sim_job.execute())
+    cache.put(sim_jobs[1], sim_jobs[1].execute())
+    old = _cached_path(tmp_path, sim_job)
+    stale = time.time() - 7200
+    os.utime(old, (stale, stale))
+    report = cache.prune(older_than_seconds=3600)
+    assert report["removed"] == 1 and report["kept"] == 1
+    assert report["removed_bytes"] > 0
+    assert not old.exists()
+    assert cache.get(sim_job) is None
+    assert cache.get(sim_jobs[1]) is not None
+
+
+def test_walk_skips_temp_files_and_foreign_entries(tmp_path, sim_job):
+    """Only ``<2 hex>/<key>.json`` files are entries: an in-flight atomic
+    write's ``.tmp`` file, a foreign directory and a top-level file are
+    not counted, and prune leaves them alone."""
+    cache = ResultCache(tmp_path)
+    cache.put(sim_job, sim_job.execute())
+    shard = _cached_path(tmp_path, sim_job).parent
+    (shard / "abc123.tmp").write_bytes(b"partial")
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "x.json").write_text("{}")
+    (tmp_path / "README.json").write_text("{}")
+    assert len(cache) == 1 and cache.stats()["entries"] == 1
+    stale = time.time() - 7200
+    for path in (shard / "abc123.tmp", tmp_path / "notes" / "x.json",
+                 tmp_path / "README.json"):
+        os.utime(path, (stale, stale))
+    assert cache.prune(3600) == {"removed": 0, "removed_bytes": 0, "kept": 1}
+    assert (shard / "abc123.tmp").exists()
+    assert (tmp_path / "notes" / "x.json").exists()
+    assert (tmp_path / "README.json").exists()
+
+
+def test_get_returns_detached_results(tmp_path, sim_job):
+    """Each hit decodes a fresh result: a caller mutating what it got
+    back cannot change what the next caller reads."""
+    cache = ResultCache(tmp_path)
+    result = sim_job.execute()
+    cache.put(sim_job, result)
+    first = cache.get(sim_job)
+    first.stats["poisoned"] = 1
+    assert cache.get(sim_job) == result
+    assert "poisoned" not in cache.get(sim_job).stats
+
+
+def test_cache_ignores_the_frame_budget_variable(tmp_path, sim_job, monkeypatch):
+    """``REPRO_MEM_CACHE_MB`` sizes only the service's frame LRU; a
+    garbled value there does not stop a ResultCache from working."""
+    monkeypatch.setenv("REPRO_MEM_CACHE_MB", "abc")
+    cache = ResultCache(tmp_path)
+    result = sim_job.execute()
+    cache.put(sim_job, result)
+    assert cache.get(sim_job) == result
+
+
+@pytest.mark.parametrize("age", [-1.0, float("nan"), float("inf")])
+def test_prune_rejects_a_negative_or_non_finite_age(tmp_path, sim_job, age):
+    cache = ResultCache(tmp_path)
+    cache.put(sim_job, sim_job.execute())
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        cache.prune(age)
+    assert len(cache) == 1
+
+
+# -- the job-key memo ------------------------------------------------------
+
+
+def test_job_key_memoized_and_byte_stable(sim_job):
+    from repro.runner.cache import _KEY_MEMO_ATTR
+
+    if hasattr(sim_job, _KEY_MEMO_ATTR):
+        object.__delattr__(sim_job, _KEY_MEMO_ATTR)
+    first = ResultCache.job_key(sim_job)
+    assert getattr(sim_job, _KEY_MEMO_ATTR)[1] == first
+    assert ResultCache.job_key(sim_job) == first
+    # The memo must reproduce the from-scratch hash exactly.
+    object.__delattr__(sim_job, _KEY_MEMO_ATTR)
+    assert ResultCache.job_key(sim_job) == first
+
+
+def test_job_key_memo_invalidates_on_format_bump(monkeypatch, sim_job):
+    import repro.runner.cache as cache_mod
+
+    before = ResultCache.job_key(sim_job)  # memo now warm
+    monkeypatch.setattr(
+        cache_mod, "PACK_FORMAT_VERSION", cache_mod.PACK_FORMAT_VERSION + 1
+    )
+    bumped = ResultCache.job_key(sim_job)
+    assert bumped != before
+    monkeypatch.undo()
+    assert ResultCache.job_key(sim_job) == before
 
 
 def test_cache_and_request_key_bytes_are_pinned():

@@ -111,6 +111,31 @@ def test_frame_tier_disabled_falls_back_to_result_cache(runner, tmp_path):
     assert cache_hits == 1
 
 
+def test_corrupt_entry_behind_a_frame_miss_is_recomputed(runner, tmp_path):
+    """With no frame to answer from, a repeat request reads the result
+    cache on disk: a corrupted entry there is recomputed, and the client
+    gets the same bytes as the first time."""
+    async def scenario(service, sockpath):
+        first = await _round_trip(sockpath)
+        entries = sorted((tmp_path / "cache").glob("*/*.json"))
+        for path in entries:
+            path.write_text("ceci n'est pas du json")
+        second = await _round_trip(sockpath)
+        return first, second, len(entries), dict(service.stats), service.cache
+
+    first, second, n_entries, stats, cache = serve(
+        runner, scenario, tmp_path, frame_cache_mb=0
+    )
+    assert n_entries == 1
+    assert first == second
+    assert stats["executed"] == 2
+    assert stats["cache_served"] == 0
+    assert cache.corrupt_fallbacks >= 1
+    # The recompute's put overwrote the damaged entry.
+    (entry,) = (tmp_path / "cache").glob("*/*.json")
+    assert json.loads(entry.read_text())["commit_target"] == 300
+
+
 def test_frame_budget_env_default(runner, monkeypatch):
     monkeypatch.delenv("REPRO_MEM_CACHE_MB", raising=False)
     assert ReproService(runner).frame_budget_bytes == 64 * 1024 * 1024

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import BatchRunner, JobQueue, ResultCache, RetryPolicy
+from repro.runner import BatchRunner, JobQueue, RetryPolicy
 from repro.runner.batch import resolve_workers
 from repro.runner.distributed import DistributedExecutor
 from repro.service.server import ReproService
@@ -145,10 +145,6 @@ def _executor(tmp_path):
     return DistributedExecutor(JobQueue(tmp_path / "q"))
 
 
-def _result_cache(tmp_path):
-    return ResultCache(tmp_path / "cache")
-
-
 def _service(tmp_path):
     return ReproService(runner=None)
 
@@ -156,13 +152,12 @@ def _service(tmp_path):
 @pytest.mark.parametrize("name,raw,build", [
     # Each of these used to be accepted: a nan deadline never expires,
     # an inf jitter makes time.sleep raise OverflowError, a nan lease
-    # and a negative grace ran as given, and the two memory tiers
-    # disagreed on a garbled budget (0 with a warning vs 64 MB).
+    # and a negative grace ran as given, and a garbled frame budget
+    # fell back to 64 MB with a warning.
     ("REPRO_JOB_TIMEOUT", "nan", _runner),
     ("REPRO_RETRY_JITTER", "inf", _runner),
     ("REPRO_LEASE_TTL", "nan", _executor),
     ("REPRO_DIST_GRACE", "-3", _executor),
-    ("REPRO_MEM_CACHE_MB", "abc", _result_cache),
     ("REPRO_MEM_CACHE_MB", "abc", _service),
     # ... and the ones that warned or clamped before.
     ("REPRO_MAX_ATTEMPTS", "lots", _runner),
