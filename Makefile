@@ -15,7 +15,9 @@
 #   make lint     ruff check + ruff format --check over src/ tests/
 #                 benchmarks/ (the CI lint job)
 #   make chaos    fault-injection suite against a real 2-worker pool
-#                 (worker deaths, hangs, corrupt cache entries; the CI
+#                 (worker deaths, hangs, corrupt cache entries, and the
+#                 worker-memory probe: no finished Processor may stay
+#                 alive in a worker whose cyclic GC is off; the CI
 #                 chaos lane)
 #   make ci       tier-1 suite + the figures-smoke CI lane as CI runs
 #                 it: a screening sweep, then exact-mode sweeps with

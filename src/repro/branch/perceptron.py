@@ -102,26 +102,6 @@ class PerceptronPredictor:
         word = pc >> 2
         return (word ^ (word >> 8)) & (self.num_perceptrons - 1)
 
-    def _local_index(self, pc: int) -> int:
-        return (pc >> 2) & (self.local_entries - 1)
-
-    def _inputs(self, thread: int, pc: int) -> int:
-        """Concatenated (global, local) history bits as one integer."""
-        g = self._global_history[thread] & self._pred_mask_global
-        loc = self._local_history[self._local_index(pc)] & self._pred_mask_local
-        return (g << self.local_bits) | loc
-
-    def _output(self, weights: List[int], inputs: int) -> int:
-        y = weights[0]
-        # Loop over history bits; bit i of `inputs` maps to weight i+1.
-        for i in range(1, self.history_length + 1):
-            if inputs & 1:
-                y += weights[i]
-            else:
-                y -= weights[i]
-            inputs >>= 1
-        return y
-
     # -- public API ---------------------------------------------------------
 
     def predict(self, thread: int, pc: int) -> bool:
@@ -140,13 +120,6 @@ class PerceptronPredictor:
                 y -= w
             inputs >>= 1
         return y >= 0
-
-    def predict_with_confidence(self, thread: int, pc: int) -> tuple[bool, int]:
-        """Return ``(taken, |y|)`` — the margin doubles as confidence."""
-        self.lookups += 1
-        weights = self._weights[self._index(pc)]
-        y = self._output(weights, self._inputs(thread, pc))
-        return y >= 0, abs(y)
 
     def update(self, thread: int, pc: int, taken: bool) -> None:
         """Train on the resolved outcome and shift both histories.

@@ -37,7 +37,7 @@ class BranchPrediction:
 class BranchUnit:
     """Shared predictor state plus per-thread return stacks."""
 
-    __slots__ = ("predictor", "btb", "rases", "stats_resolved", "stats_dir_miss", "stats_tgt_miss")
+    __slots__ = ("predictor", "btb", "rases", "stats_resolved", "stats_dir_miss")
 
     def __init__(
         self,
@@ -59,7 +59,6 @@ class BranchUnit:
         ]
         self.stats_resolved = 0
         self.stats_dir_miss = 0
-        self.stats_tgt_miss = 0
 
     def predict(
         self, thread: int, pc: int, op_class: int, actual_taken: bool, actual_target: int
@@ -102,9 +101,6 @@ class BranchUnit:
     def note_direction_mispredict(self) -> None:
         self.stats_dir_miss += 1
 
-    def note_target_mispredict(self) -> None:
-        self.stats_tgt_miss += 1
-
     def clear_thread(self, thread: int) -> None:
         """Reset per-thread speculation state (context switch)."""
         self.predictor.reset_thread(thread)
@@ -116,4 +112,3 @@ class BranchUnit:
         self.btb.reset_stats()
         self.stats_resolved = 0
         self.stats_dir_miss = 0
-        self.stats_tgt_miss = 0

@@ -54,10 +54,10 @@ Package layout (one module per concern):
   process-wide memo and the on-disk snapshot store;
 * :mod:`~repro.core.engine.stages` — the fetch/rename/issue/writeback/
   commit stages, one implementation each, and the
-  :class:`~repro.core.engine.stages.StageSet` a processor binds;
+  :class:`~repro.core.engine.stages.StageSet` a processor runs;
 * :mod:`~repro.core.engine.engine` — the
-  :class:`~repro.core.engine.engine.Processor` shell that binds the
-  stages and owns the ``run()``/``step()`` scheduling loop.
+  :class:`~repro.core.engine.engine.Processor` shell that keeps the
+  stage set and owns the ``run()``/``step()`` scheduling loop.
 """
 
 from repro.core.engine.engine import Processor

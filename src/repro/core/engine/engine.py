@@ -4,14 +4,18 @@ The cycle-level machine itself lives in the stage modules
 (:mod:`repro.core.engine.stages`); this module owns the state the stages
 operate on (flat ROB arrays, timing wheel, per-thread front-end state),
 the ``run()``/``step()`` scheduling loop with its idle-cycle fast path,
-and the compatibility views over the flat arrays.
+and the ``events`` debugging view over the timing wheel.
 
 The (fetch, issue, commit) stages come from
-:func:`~repro.core.engine.stages.stage_set_for` and are bound once at
-construction as ``_fetch_impl``/``_issue_impl``/``_commit_impl``;
-``run()`` and ``step()`` call through those attributes. Tests may rebind
-them (or ``_complete``/``_rename``) on an instance to splice in
-reference machines.
+:func:`~repro.core.engine.stages.stage_set_for`; the processor keeps that
+:class:`~repro.core.engine.stages.StageSet` of plain functions as
+``_stages`` and passes itself to them: ``run()`` binds them as locals on
+each call, ``step()`` calls them directly. No bound method lives on the
+instance, so a processor is in no reference cycle and reference counting
+frees it when its last reference goes, even in processes that run with
+the cyclic GC off (the pool workers). Tests splice in reference machines
+by replacing ``_stages`` (``dataclasses.replace``) or rebinding
+``_complete``/``_rename`` on an instance.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class Processor:
     """
 
     # -- stage methods (module-level functions bound via the descriptor
-    # protocol; fetch/issue/commit are bound per instance in __init__) ---
+    # protocol; fetch/issue/commit come from the per-instance _stages) ---
     _writeback = writeback
     _complete = complete
     _do_flush = do_flush
@@ -252,57 +256,9 @@ class Processor:
         self._warmed = False
 
         # --- stage composition -------------------------------------------
-        stages = stage_set_for(config)
-        self._commit_impl = stages.commit.__get__(self)
-        self._fetch_impl = stages.fetch.__get__(self)
-        self._issue_impl = stages.issue.__get__(self)
+        self._stages = stage_set_for(config)
 
-    # ------------------------------------------------- compatibility views
-
-    def _nested(self, flat: list) -> List[list]:
-        r = self.rob_entries
-        return [flat[t * r:(t + 1) * r] for t in range(self.num_threads)]
-
-    @property
-    def rob_entry(self) -> List[list]:
-        """Per-thread view of the flat ROB entry array (read-only copy)."""
-        return self._nested(self._rob_entry)
-
-    @property
-    def rob_state(self) -> List[list]:
-        return self._nested(self._rob_state)
-
-    @property
-    def rob_pending(self) -> List[list]:
-        return self._nested(self._rob_pending)
-
-    @property
-    def rob_deps(self) -> List[list]:
-        return self._nested(self._rob_deps)
-
-    @property
-    def rob_traceidx(self) -> List[list]:
-        return self._nested(self._rob_traceidx)
-
-    @property
-    def rob_prevprod(self) -> List[list]:
-        return self._nested(self._rob_prevprod)
-
-    @property
-    def rob_prevseq(self) -> List[list]:
-        return self._nested(self._rob_prevseq)
-
-    @property
-    def rob_seq(self) -> List[list]:
-        return self._nested(self._rob_seq)
-
-    @property
-    def rob_epoch(self) -> List[list]:
-        return self._nested(self._rob_epoch)
-
-    @property
-    def rob_flags(self) -> List[list]:
-        return self._nested(self._rob_flags)
+    # ------------------------------------------------------------- views
 
     @property
     def events(self) -> Dict[int, List[tuple]]:
@@ -345,11 +301,12 @@ class Processor:
         stall = self.fetch_stall_until
         active = self.active_pipes
         n = self.num_threads
-        commit_stage = self._commit_impl
+        stages = self._stages
+        commit_stage = stages.commit.__get__(self)
         writeback_stage = self._writeback
-        issue_stage = self._issue_impl
+        issue_stage = stages.issue.__get__(self)
         rename_stage = self._rename
-        fetch_stage = self._fetch_impl
+        fetch_stage = stages.fetch.__get__(self)
         while not self.finished:
             cyc = self.cycle
             if cyc >= max_cycles:
@@ -421,19 +378,20 @@ class Processor:
 
     def step(self) -> None:
         """Advance one cycle: commit, writeback, issue, rename, fetch."""
+        stages = self._stages
         if self._commitable:
-            self._commit_impl()
+            stages.commit(self)
         else:
             self._commit_rotor += 1
         if self._wheel[self.cycle & self._wheel_mask] or self._far_events:
             self._writeback()
         if self._ready_count:
-            self._issue_impl()
+            stages.issue(self)
         free_epoch = self._free_epoch
         for pl in self.active_pipes:
             if pl.buffer and pl.blocked_epoch != free_epoch:
                 self._rename(pl)
-        self._fetch_impl()
+        stages.fetch(self)
         self.cycle += 1
 
     # ------------------------------------------------------------- reporting

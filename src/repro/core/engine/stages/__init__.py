@@ -1,9 +1,9 @@
 """Pipeline stages: fetch, rename, issue, writeback and commit.
 
 Each stage is a module-level function taking the
-:class:`~repro.core.engine.engine.Processor` as ``self``; the processor
-binds them once at construction, so ``run()`` and ``step()`` call
-through instance attributes with no per-call dispatch.
+:class:`~repro.core.engine.engine.Processor` as ``self``; ``run()``
+binds them into locals once per call, so the cycle loop pays no
+per-call dispatch.
 
 Fetch, issue and commit are composed into one frozen :class:`StageSet`
 that :func:`stage_set_for` returns for every configuration. A
@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StageSet:
-    """The (fetch, issue, commit) stage functions a processor binds."""
+    """The (fetch, issue, commit) stage functions a processor runs."""
 
     fetch: Callable
     issue: Callable
@@ -57,7 +57,7 @@ _STAGES = StageSet(fetch=fetch, issue=issue_all, commit=commit)
 
 
 def stage_set_for(config) -> StageSet:
-    """The stage set a processor built from ``config`` binds (the same
+    """The stage set a processor built from ``config`` runs (the same
     one for every configuration).
 
     :class:`~repro.core.engine.engine.Processor` imports this function by

@@ -99,6 +99,3 @@ class Pipeline:
         #: blocking resource has been released, so re-running rename is a
         #: provable no-op and the core skips the call.
         self.blocked_epoch = -1
-
-    def buffer_space(self) -> int:
-        return self.buffer_cap - len(self.buffer)

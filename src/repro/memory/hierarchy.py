@@ -49,16 +49,6 @@ class MemoryParams:
     page_bytes: int = 8192
 
     @property
-    def l2_hit_total(self) -> int:
-        """Total load-to-use latency for an L1-miss / L2-hit access."""
-        return self.l1_latency + self.l1_miss_penalty
-
-    @property
-    def l2_miss_total(self) -> int:
-        """Total latency for an access missing all the way to memory."""
-        return self.l1_latency + self.l1_miss_penalty + self.memory_latency
-
-    @property
     def flush_threshold(self) -> int:
         """Cycles after which FLUSH declares an outstanding load an L2 miss."""
         return self.l1_latency + self.l2_latency

@@ -102,10 +102,13 @@ _WORKER_CACHE_DIR: Optional[str] = None
 def _init_worker(cache_dir: Optional[str], store_dir: Optional[str]) -> None:
     global _WORKER_CACHE_DIR
     _WORKER_CACHE_DIR = cache_dir
-    # Dedicated, bounded-lifetime simulation processes: the simulator's
-    # object graph is acyclic (reference counting reclaims everything), so
-    # cyclic-GC passes only cost time. Freezing the warm interpreter state
-    # also keeps it off future (no-op) collections.
+    # Dedicated simulation processes: with the cyclic GC off, reference
+    # counting alone frees each finished simulation. That holds because a
+    # Processor is in no reference cycle (it binds its stages per run, see
+    # repro.core.engine.engine); tests/core/test_processor.py and
+    # test_resilience.py::test_pool_workers_free_every_finished_simulation
+    # guard it. Freezing the warm interpreter state also keeps it off any
+    # later collection.
     import gc
 
     gc.disable()

@@ -165,12 +165,6 @@ class JobQueue:
         entries.sort()
         return [tid for _, tid in entries]
 
-    def remove_task(self, task_id: str) -> None:
-        try:
-            self._task_path(task_id).unlink()
-        except FileNotFoundError:
-            pass
-
     # -- leases ------------------------------------------------------------
 
     def _lease_path(self, task_id: str) -> Path:

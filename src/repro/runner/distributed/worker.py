@@ -154,8 +154,11 @@ class Worker:
     # -- environment -------------------------------------------------------
 
     def _setup_process(self) -> None:
-        """Same process discipline as the local pool's initializer: no
-        cyclic GC for the acyclic simulator graph, shared stores wired."""
+        """Same process discipline as the local pool's initializer
+        (:func:`repro.runner.batch._init_worker`): cyclic GC off, which
+        is sound only while a finished simulation is in no reference
+        cycle (guarded by ``tests/core/test_processor.py``'s
+        acyclicity tests), and the shared stores wired."""
         import gc
 
         gc.disable()

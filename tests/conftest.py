@@ -106,3 +106,17 @@ def trace_store(tmp_path, clean_sim_state):
     from repro.trace.stream import set_trace_store
 
     return set_trace_store(tmp_path / "trace-store")
+
+
+@pytest.fixture(scope="session")
+def rob_view():
+    """``view(proc, "state")``: per-thread copies of one of the
+    processor's flat ROB arrays (``proc._rob_state`` here; slot
+    ``t * rob_entries + i``), for tests that walk a thread's ROB ring."""
+
+    def view(proc, name):
+        flat = getattr(proc, "_rob_" + name)
+        r = proc.rob_entries
+        return [flat[t * r:(t + 1) * r] for t in range(proc.num_threads)]
+
+    return view

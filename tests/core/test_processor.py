@@ -5,13 +5,25 @@ mechanism (dependencies, FU contention, queue capacity, mispredict
 squash, FLUSH, register-file tax) is observable in isolation.
 """
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.config import BaselineParams, MicroarchConfig, get_config
+from repro.core.config import (
+    STANDARD_CONFIG_NAMES,
+    BaselineParams,
+    MicroarchConfig,
+    get_config,
+)
+from repro.core.mapping import enumerate_mappings
 from repro.core.models import M2, M8
 from repro.core.engine import Processor, S_FREE
+from repro.core.simulation import run_simulation
 from repro.isa.opcodes import OP_BRANCH, OP_INT, OP_LOAD, OP_MUL, OP_STORE
 from repro.isa.registers import REG_NONE
+from repro.runner import SimJob
+from repro.trace.stream import trace_for
 
 
 @pytest.fixture
@@ -187,15 +199,61 @@ def test_max_cycles_safety_net(hand_trace):
     assert not proc.finished
 
 
-def test_phys_reg_conservation_after_run(run_m8):
+def test_phys_reg_conservation_after_run(run_m8, rob_view):
     proc = run_m8(seq_ints(4000), 2000)
     # Free + held-by-in-flight must equal the pool size.
     held = 0
     t = 0
     r = proc.rob_entries
+    state, entry = rob_view(proc, "state")[t], rob_view(proc, "entry")[t]
     i = proc.rob_head[t]
     for _ in range(proc.rob_count[t]):
-        if proc.rob_state[t][i] != S_FREE and proc.rob_entry[t][i][1] >= 0:
+        if state[i] != S_FREE and entry[i][1] >= 0:
             held += 1
         i = (i + 1) % r
     assert proc.phys_free + held == proc.params.rename_registers
+
+
+# -- acyclicity: pool workers run with the cyclic GC off ---------------------
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """The pool workers' discipline (``gc.disable()``): only reference
+    counting frees, so a processor caught in a reference cycle stays."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _live_processors():
+    return sum(isinstance(o, Processor) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("how", ["run", "step", "memo-restore"])
+@pytest.mark.parametrize("config_name", STANDARD_CONFIG_NAMES)
+def test_processor_is_freed_without_cyclic_gc(no_cyclic_gc, config_name, how):
+    cfg = get_config(config_name)
+    mapping = enumerate_mappings(cfg, 2)[-1]
+    traces = [trace_for(b, 1000) for b in ("gzip", "twolf")]
+    if how == "memo-restore":
+        Processor(cfg, traces, mapping, 300).warm()  # fills the warm memo
+    proc = Processor(cfg, traces, mapping, 300)
+    proc.warm()
+    if how == "run":
+        proc.run()
+        assert proc.finished
+    elif how == "step":
+        for _ in range(20):
+            proc.step()
+    ref = weakref.ref(proc)
+    del proc
+    assert ref() is None
+
+
+def test_simulation_entry_points_leave_no_live_processor(no_cyclic_gc):
+    before = _live_processors()
+    run_simulation("2M4+2M2", ("gzip", "twolf", "bzip2"), (0, 1, 2), 300)
+    SimJob("M8", ("gzip", "twolf"), (0, 0), 300).execute()
+    assert _live_processors() == before

@@ -25,7 +25,7 @@ def test_flush_then_refetch_commits_everything(hand_trace):
     assert 600 <= proc.committed[0] <= 600 + 8
 
 
-def test_mispredict_inside_fetch_packet_squashes_junk_only(hand_trace):
+def test_mispredict_inside_fetch_packet_squashes_junk_only(hand_trace, rob_view):
     """Wrong-path instructions must never commit."""
     entries = []
     for i in range(3000):
@@ -43,10 +43,11 @@ def test_mispredict_inside_fetch_packet_squashes_junk_only(hand_trace):
     assert proc.committed[0] >= 700
     # No wrong-path instruction may remain dirty at the head.
     t = 0
+    state, flags = rob_view(proc, "state")[t], rob_view(proc, "flags")[t]
     i = proc.rob_head[t]
     for _ in range(proc.rob_count[t]):
-        if proc.rob_state[t][i] != S_FREE:
-            assert not (proc.rob_flags[t][i] & FL_MISPRED) or True
+        if state[i] != S_FREE:
+            assert not (flags[i] & FL_MISPRED) or True
         i = (i + 1) % proc.rob_entries
 
 

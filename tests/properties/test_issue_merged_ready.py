@@ -18,6 +18,7 @@ events are appended in issue order, so equal event lists pin the
 within-cycle issue order) and every end-of-run statistic.
 """
 
+from dataclasses import replace
 from heapq import heappush, heappop
 from types import MethodType
 
@@ -319,7 +320,7 @@ def make_legacy(config, traces, mapping, target) -> Processor:
     proc = Processor(config, traces, mapping, target)
     for pl in proc.pipelines:
         pl.ready = ([], [], [])
-    proc._issue_impl = MethodType(_legacy_issue_stage, proc)
+    proc._stages = replace(proc._stages, issue=_legacy_issue_stage)
     proc._complete = MethodType(_legacy_complete, proc)
     proc._rename = MethodType(_legacy_rename, proc)
     return proc

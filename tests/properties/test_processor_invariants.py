@@ -25,13 +25,14 @@ def scenario(draw):
     return cfg, benches, mapping
 
 
-def _check_invariants(proc: Processor):
+def _check_invariants(proc: Processor, rob_view):
     # 1. Physical register conservation.
     held = 0
+    state, entry = rob_view(proc, "state"), rob_view(proc, "entry")
     for t in range(proc.num_threads):
         i = proc.rob_head[t]
         for _ in range(proc.rob_count[t]):
-            if proc.rob_state[t][i] != S_FREE and proc.rob_entry[t][i][1] >= 0:
+            if state[t][i] != S_FREE and entry[t][i][1] >= 0:
                 held += 1
             i = (i + 1) % proc.rob_entries
     assert proc.phys_free + held == proc.params.rename_registers
@@ -62,7 +63,7 @@ def _check_invariants(proc: Processor):
 
 @given(scenario(), st.integers(min_value=200, max_value=900))
 @settings(max_examples=25, deadline=None)
-def test_invariants_hold_after_random_runs(scn, target):
+def test_invariants_hold_after_random_runs(rob_view, scn, target):
     cfg, benches, mapping = scn
     traces = []
     seen = {}
@@ -74,12 +75,12 @@ def test_invariants_hold_after_random_runs(scn, target):
     proc.warm()
     proc.run()
     assert proc.finished, "runs at this scale must terminate"
-    _check_invariants(proc)
+    _check_invariants(proc, rob_view)
 
 
 @given(scenario())
 @settings(max_examples=10, deadline=None)
-def test_invariants_hold_mid_run(scn):
+def test_invariants_hold_mid_run(rob_view, scn):
     """Invariants are not just terminal: check at several cut points."""
     cfg, benches, mapping = scn
     traces = [trace_for(b, 1500, instance=i) for i, b in enumerate(benches)]
@@ -88,7 +89,7 @@ def test_invariants_hold_mid_run(scn):
     for _ in range(5):
         for _ in range(150):
             proc.step()
-        _check_invariants(proc)
+        _check_invariants(proc, rob_view)
 
 
 @given(st.sampled_from(BENCHMARK_NAMES), st.integers(min_value=1, max_value=3))

@@ -1,12 +1,12 @@
 """Lockstep suite for the single stage set on every standard configuration.
 
-Each processor binds :func:`~repro.core.engine.stages.stage_set_for`'s
-(fetch, issue, commit) stages once at construction. This suite drives
+Each processor keeps :func:`~repro.core.engine.stages.stage_set_for`'s
+(fetch, issue, commit) stage set from construction. This suite drives
 that one stage set on every standard configuration with 2-, 4- and
 6-thread workloads at their most spread mapping, and checks three
 things:
 
-* the constructor binds exactly the stage set ``stage_set_for`` returns;
+* the constructor keeps exactly the stage set ``stage_set_for`` returns;
 * ``run()``, with idle-cycle skipping, ends in the same state as a pure
   ``step()`` loop;
 * two processors restored from the same warm snapshot, run one after
@@ -102,10 +102,7 @@ def _final_state(proc: Processor) -> tuple:
 @pytest.mark.parametrize("config_name", STANDARD_CONFIG_NAMES)
 def test_constructor_binds_the_stage_set(config_name):
     proc = _build(config_name, ("gzip", "twolf"), 100)
-    stages = stage_set_for(proc.config)
-    assert proc._fetch_impl.__func__ is stages.fetch
-    assert proc._issue_impl.__func__ is stages.issue
-    assert proc._commit_impl.__func__ is stages.commit
+    assert proc._stages is stage_set_for(proc.config)
 
 
 @pytest.mark.parametrize("config_name, benches", SCENARIOS)

@@ -3,8 +3,11 @@ policy/report plumbing, submission/deadline/salvage semantics, Ctrl-C
 behaviour, lifecycle hygiene."""
 
 import dataclasses
+import gc
+import os
 import time
 from concurrent.futures import BrokenExecutor, Future
+from typing import ClassVar
 
 import pytest
 
@@ -355,6 +358,42 @@ def test_supervised_executor_close_idempotent():
     assert ex.run([]) == []  # empty batch never builds a pool
     ex.close()
     ex.close(kill=True)
+
+
+# ------------------------------------------------------------ worker memory
+
+
+@dataclasses.dataclass(frozen=True)
+class _ProcessorLeakProbe:
+    """Runs ``runs`` simulations in whichever process executes it, then
+    reports ``(pid, live Processor objects)`` there. It calls no
+    ``gc.collect()``: pool workers run with the cyclic GC off, so a
+    processor caught in a reference cycle would still be counted."""
+
+    runs: int
+
+    heavy: ClassVar[bool] = True  # two probes already make a parallel batch
+
+    def execute(self, cache=None):
+        from repro.core.engine import Processor
+
+        for seed in range(self.runs):
+            SimJob("M8", ("gzip", "twolf"), (0, 0), 200, seed=seed).execute()
+        live = sum(isinstance(o, Processor) for o in gc.get_objects())
+        return os.getpid(), live
+
+    def trace_manifest(self):
+        return ()
+
+
+def test_pool_workers_free_every_finished_simulation():
+    """Workers keep ``gc.disable()``; that is only sound while every
+    finished simulation is freed by reference counting alone."""
+    probes = [_ProcessorLeakProbe(runs=4)] * 2
+    with BatchRunner(workers=2, trace_store=False) as runner:
+        results = runner.run(probes)
+    assert all(pid != os.getpid() for pid, _ in results)
+    assert [live for _, live in results] == [0, 0]
 
 
 # ------------------------------------------------------------- retry jitter
