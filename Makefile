@@ -16,9 +16,11 @@
 #                 benchmarks/ (the CI lint job)
 #   make chaos    fault-injection suite against a real 2-worker pool
 #                 (worker deaths, hangs, corrupt cache entries, and the
-#                 worker-memory probe: no finished Processor may stay
-#                 alive in a worker whose cyclic GC is off; the CI
-#                 chaos lane)
+#                 worker-memory probes: no finished Processor may stay
+#                 alive in a worker whose cyclic GC is off, and
+#                 test_pool_workers_hold_bounded_memos: each worker's
+#                 trace and warm memos stay within their bounds and hold
+#                 no profile-length trace; the CI chaos lane)
 #   make ci       tier-1 suite + the figures-smoke CI lane as CI runs
 #                 it: a screening sweep, then exact-mode sweeps with
 #                 --jobs 1 and --jobs 2 whose stdouts must be identical

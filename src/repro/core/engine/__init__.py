@@ -51,7 +51,7 @@ Package layout (one module per concern):
 * :mod:`~repro.core.engine.state` — ROB/flag/event constants and the
   per-pipeline :class:`~repro.core.engine.state.Pipeline` record;
 * :mod:`~repro.core.engine.warm` — the vectorized warm pass, the
-  process-wide memo and the on-disk snapshot store;
+  process-wide LRU memo and the on-disk snapshot store;
 * :mod:`~repro.core.engine.stages` — the fetch/rename/issue/writeback/
   commit stages, one implementation each, and the
   :class:`~repro.core.engine.stages.StageSet` a processor runs;

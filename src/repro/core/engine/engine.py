@@ -74,7 +74,6 @@ class Processor:
     warm = warm_module.warm
     _load_warm_snapshot = warm_module._load_warm_snapshot
     _remember_warm = warm_module._remember_warm
-    _warm_store_path = warm_module._warm_store_path
 
     def __init__(
         self,

@@ -7,7 +7,8 @@ first. Warming is deterministic in (traces, memory params, thread
 count), which makes the post-warm structure state cacheable at three
 levels:
 
-* a process-wide memo (``_WARM_CACHE``) keyed on trace identities;
+* a process-wide memo (``_WARM_CACHE``), a small LRU keyed on the
+  traces' content keys;
 * an optional on-disk snapshot store (:func:`set_warm_store`), shared
   between BatchRunner workers — the first process to warm a trace set
   persists the snapshot, every other process restores it;
@@ -15,8 +16,8 @@ levels:
   (:func:`ensure_warm_snapshot`) so concurrent workers never race to
   compute identical ones.
 
-``warm`` / ``_load_warm_snapshot`` / ``_remember_warm`` /
-``_warm_store_path`` are the Processor-side methods of this machinery;
+``warm`` / ``_load_warm_snapshot`` / ``_remember_warm`` are the
+Processor-side methods of this machinery;
 :class:`~repro.core.engine.engine.Processor` binds them as methods.
 """
 
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import os
 import pickle
+from collections import OrderedDict
 from hashlib import sha256
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.branch.unit import BranchUnit
 from repro.ioutil import atomic_write_bytes
@@ -43,12 +45,19 @@ __all__ = [
 #: dumped structure-state shapes change (v2: int-keyed TLB maps).
 _WARM_SNAPSHOT_VERSION = 2
 
-#: Memoized post-warm structure state, keyed on (memory params, thread
-#: count, trace identities). Entries hold strong references to their
-#: traces so object ids can never be recycled into a false hit; FIFO
-#: eviction bounds the footprint for one-off trace sets (composites).
-_WARM_CACHE: Dict[tuple, tuple] = {}
-_WARM_CACHE_MAX = 128
+#: Memoized post-warm structure state: an LRU of at most
+#: :data:`_WARM_CACHE_MAX` snapshots, keyed on (memory params, thread
+#: count, trace keys). Traces built by ``trace_for`` key on their content
+#: key (``Trace.key``), which fixes the stream, so an entry pins no trace:
+#: a trace the trace memo evicted and reloaded still hits. Hand-built
+#: traces (tests, composites) have no content key; they key on ``id()``
+#: and their entry keeps the traces alive, so an id can never be
+#: recycled into a false hit.
+_WARM_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+#: Two trace sets, like the trace memo: the one being simulated and the
+#: one before it. A bundle runs its runs grouped by trace set, and a
+#: snapshot needed again after eviction comes back from the warm store.
+_WARM_CACHE_MAX = 2
 
 #: Optional on-disk warm-snapshot store (a directory), shared between
 #: BatchRunner workers: the first process to warm a (memory params,
@@ -68,6 +77,16 @@ def set_warm_store(directory: Optional[str]) -> None:
 def clear_warm_cache() -> None:
     """Drop memoized warm-up snapshots (tests / memory pressure)."""
     _WARM_CACHE.clear()
+
+
+def _warm_key(memory_params, num_threads: int, traces) -> tuple:
+    """``_WARM_CACHE`` key: the traces' content keys when every trace has
+    one; otherwise (third field None) their ``id()``s, and the memo entry
+    then pins the traces."""
+    keys = tuple(getattr(t, "key", None) for t in traces)
+    if None in keys:
+        return (memory_params, num_threads, None, tuple(id(t) for t in traces))
+    return (memory_params, num_threads, keys)
 
 
 def _stream_warm(mem: MemoryHierarchy, unit: BranchUnit, traces) -> None:
@@ -138,13 +157,10 @@ def ensure_warm_snapshot(directory: str, memory_params, traces) -> bool:
     snapshot instead of racing to compute identical ones. Returns False
     when any trace lacks a content key (nothing portable to store).
     """
-    keys = []
-    for trace in traces:
-        k = getattr(trace, "key", None)
-        if k is None:
-            return False
-        keys.append(k)
-    path = warm_snapshot_path(directory, memory_params, len(traces), keys)
+    key = _warm_key(memory_params, len(traces), traces)
+    if key[2] is None:
+        return False
+    path = warm_snapshot_path(directory, *key)
     if os.path.exists(path):
         return True
     mem = MemoryHierarchy(memory_params, max_threads=len(traces))
@@ -209,12 +225,13 @@ def warm(self) -> None:
 
     Warming is deterministic in (traces, memory params, thread count)
     when the processor is fresh, so the post-warm structure state is
-    memoized process-wide: the oracle mapping sweeps re-simulate the
-    same workload dozens of times and every run after the first
-    restores the snapshot (bit-identical, including warm-time
-    statistics) instead of streaming the window again. With a warm
-    store active (:func:`set_warm_store`), snapshots are additionally
-    shared across processes through the store directory.
+    memoized process-wide (a small LRU, see ``_WARM_CACHE``): the oracle
+    mapping sweeps re-simulate the same workload dozens of times and
+    every run after the first restores the snapshot (bit-identical,
+    including warm-time statistics) instead of streaming the window
+    again. With a warm store active (:func:`set_warm_store`), snapshots
+    are additionally shared across processes through the store
+    directory, which also serves a snapshot the memo has evicted.
     """
     mem = self.mem
     unit = self.branch_unit
@@ -222,19 +239,14 @@ def warm(self) -> None:
     key = None
     disk_path = None
     if fresh:
-        key = (
-            self.params.memory,
-            self.num_threads,
-            tuple(id(t) for t in self.traces),
-        )
+        key = _warm_key(self.params.memory, self.num_threads, self.traces)
         cached = _WARM_CACHE.get(key)
-        if cached is not None and all(
-            a is b for a, b in zip(cached[0], self.traces)
-        ):
+        if cached is not None:
+            _WARM_CACHE.move_to_end(key)
             self._load_warm_snapshot(cached[1:])
             self._warmed = True
             return
-        disk_path = self._warm_store_path()
+        disk_path = _warm_store_path(key)
         if disk_path is not None:
             snap = _read_warm_snapshot(disk_path)
             if snap is not None:
@@ -265,23 +277,18 @@ def _load_warm_snapshot(self, snap: tuple) -> None:
 
 
 def _remember_warm(self, key: tuple, snap: tuple) -> None:
-    if len(_WARM_CACHE) >= _WARM_CACHE_MAX:
-        _WARM_CACHE.pop(next(iter(_WARM_CACHE)))
-    _WARM_CACHE[key] = (tuple(self.traces),) + snap
+    pinned = tuple(self.traces) if key[2] is None else ()
+    _WARM_CACHE[key] = (pinned,) + snap
+    _WARM_CACHE.move_to_end(key)
+    if len(_WARM_CACHE) > _WARM_CACHE_MAX:
+        _WARM_CACHE.popitem(last=False)
 
 
-def _warm_store_path(self) -> Optional[str]:
-    """Snapshot file for this (params, traces) set, or None when the
-    store is off or any trace lacks a content key."""
+def _warm_store_path(key: tuple) -> Optional[str]:
+    """Snapshot file for a ``_WARM_CACHE`` key, or None when the store
+    is off or any trace lacks a content key."""
     directory = _WARM_STORE_DIR
-    if directory is None:
+    if directory is None or key[2] is None:
         return None
-    keys = []
-    for trace in self.traces:
-        k = getattr(trace, "key", None)
-        if k is None:
-            return None
-        keys.append(k)
-    return warm_snapshot_path(
-        directory, self.params.memory, self.num_threads, keys
-    )
+    memory_params, num_threads, trace_keys = key
+    return warm_snapshot_path(directory, memory_params, num_threads, trace_keys)

@@ -468,10 +468,12 @@ def evaluate_config_workload(
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    if runner is None:
-        runner = BatchRunner(workers=1)
     plan = _plan_pair(config_name, workload, scale, screening)
-    _execute_plans([plan], scale, runner)
+    if runner is None:
+        with BatchRunner(workers=1) as own:
+            _execute_plans([plan], scale, own)
+    else:
+        _execute_plans([plan], scale, runner)
     return _CACHE[key]
 
 

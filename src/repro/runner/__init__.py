@@ -11,11 +11,12 @@ fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   hint, trace manifest, cache-aware ``execute``), so the runner has
   exactly one dispatch/cache/prepack path and new job kinds need no
   runner changes;
-* **process-local caches** — each worker process keeps the module-level
-  trace cache (:func:`repro.trace.stream.trace_for`) and warm-state cache
-  (:mod:`repro.core.engine.warm`) warm across the jobs it executes, so a
-  workload's traces are generated and warmed once per worker rather than
-  once per job;
+* **process-local caches** — each process keeps small LRU memos of
+  traces (:func:`repro.trace.stream.trace_for`) and warm snapshots
+  (:mod:`repro.core.engine.warm`), and a bundle runs workload by
+  workload, so a worker holds the workload it is simulating; what the
+  memos evict comes back from the runner's store, so a workload's
+  traces are generated and warmed once per sweep, not once per job;
 * **optional on-disk result cache** — jobs are content-addressed by
   (configuration, workload, mapping, commit target, trace length, seed)
   and their :class:`~repro.core.simulation.SimResult` is stored as JSON,

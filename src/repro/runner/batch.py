@@ -43,6 +43,13 @@ prep jobs on the same inline-or-supervised path as the batch itself, so
 they keep the worker pool busy instead of leaving it idle while the
 parent works (see :meth:`BatchRunner._prepack_traces`).
 
+Jobs that run inline (a serial runner, a small batch, a degraded pool)
+see the same store: the parent activates it for the duration of each
+job, saving what it generates. Every process's trace and warm memos are
+small LRUs, so a trace or snapshot evicted after one batch and needed
+again by the next comes back from the store instead of being computed
+again.
+
 The store directory defaults to ``REPRO_TRACE_CACHE`` (persistent across
 runs) or, failing that, a private temporary directory cleaned up with the
 runner. Pass ``trace_store=False`` to disable the machinery entirely.
@@ -53,10 +60,12 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     ClassVar,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -124,6 +133,26 @@ def _init_worker(cache_dir: Optional[str], store_dir: Optional[str]) -> None:
         set_warm_store(store_dir)
 
 
+@contextmanager
+def _stores_active(store_dir: Optional[str]) -> Iterator[None]:
+    """Activate ``store_dir`` as this process's trace and warm store for
+    one inline job (saving generated traces: no prep job packed them),
+    then restore whatever was active before."""
+    if store_dir is None:
+        yield
+        return
+    import repro.core.engine.warm as warm
+    import repro.trace.stream as stream
+
+    saved = stream._STORE, warm._WARM_STORE_DIR
+    stream.set_trace_store(store_dir)
+    warm.set_warm_store(store_dir)
+    try:
+        yield
+    finally:
+        stream._STORE, warm._WARM_STORE_DIR = saved
+
+
 def _execute_job_supervised(job):
     """Supervised worker entry point: ``(result, stats)``.
 
@@ -148,8 +177,9 @@ def _execute_job_supervised(job):
 
 @dataclass(frozen=True)
 class _PackTrace:
-    """Prep unit: pack one trace into the shared store (``trace_for``:
-    from this process's memo when it holds the trace, else generated)."""
+    """Prep unit: pack one trace into the shared store (``transient_trace``:
+    from this process's memo when it holds the trace, else generated
+    without entering the memo)."""
 
     store_dir: str
     triple: Tuple[str, int, int]
@@ -158,9 +188,9 @@ class _PackTrace:
 
     def execute(self, cache=None) -> None:
         from repro.trace.packed import PackedTrace, PackedTraceStore
-        from repro.trace.stream import trace_for
+        from repro.trace.stream import transient_trace
 
-        packed = PackedTrace.from_trace(trace_for(*self.triple))
+        packed = PackedTrace.from_trace(transient_trace(*self.triple))
         PackedTraceStore(self.store_dir).save(packed, *self.triple)
 
     def trace_manifest(self) -> Tuple:
@@ -203,9 +233,9 @@ class BatchRunner:
         ``REPRO_RESULT_CACHE`` environment variable; None disables it.
     trace_store:
         Directory for the shared packed-trace / warm-snapshot store;
-        ``None`` (the default) resolves to ``REPRO_TRACE_CACHE`` or — for
-        parallel runners — a private temporary directory removed by
-        :meth:`close`; ``False`` disables the store machinery.
+        ``None`` (the default) resolves to ``REPRO_TRACE_CACHE`` or a
+        private temporary directory removed by :meth:`close`; ``False``
+        disables the store machinery.
     policy:
         :class:`~repro.runner.resilience.RetryPolicy` for the supervised
         dispatch (attempt budget, backoff, per-job timeout, respawn
@@ -251,13 +281,10 @@ class BatchRunner:
         if trace_store is False:
             self.store_dir: Optional[str] = None
         elif trace_store is None:
-            if self.workers > 1:
-                self._own_store_tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-store-"
-                )
-                self.store_dir = self._own_store_tmp.name
-            else:
-                self.store_dir = None
+            self._own_store_tmp = tempfile.TemporaryDirectory(
+                prefix="repro-store-"
+            )
+            self.store_dir = self._own_store_tmp.name
         else:
             self.store_dir = str(trace_store)
         #: traces already packed into the store (parent-side memo)
@@ -276,9 +303,9 @@ class BatchRunner:
     # -- lifecycle ---------------------------------------------------------
     #
     # The worker pool persists across run() calls so an experiment sweep
-    # pays process start-up once and the workers' process-local trace /
-    # warm-state caches stay hot between batches. The supervisor respawns
-    # it transparently when it breaks.
+    # pays process start-up once and the workers' trace / warm-state memos
+    # carry the last workload over to the next batch. The supervisor
+    # respawns it transparently when it breaks.
 
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -292,7 +319,8 @@ class BatchRunner:
         contract (the small-batch path and the degraded-pool fallback)."""
         cache = self.cache
         before = cache.corrupt_fallbacks if cache is not None else 0
-        result = job.execute(cache)
+        with _stores_active(self.store_dir):
+            result = job.execute(cache)
         after = cache.corrupt_fallbacks if cache is not None else 0
         return result, {"cache_fallbacks": after - before}
 
@@ -494,4 +522,5 @@ class BatchRunner:
     def run_one(self, job):
         """Execute a single job inline (cache-aware)."""
         self.jobs_run += 1
-        return job.execute(self.cache)
+        with _stores_active(self.store_dir):
+            return job.execute(self.cache)

@@ -16,15 +16,26 @@ Runs are assigned round-robin: one (configuration, workload) pair's
 BEST/HEUR/WORST runs (or a pair's screen candidates) land in different
 bundles, which balances the expensive pairs across workers (traces and
 warm snapshots are shared through the runner's content-addressed stores
-either way).  A bundle is the unit of dispatch and of tail rescue: a
-timed-out bundle retries whole on the local pool, and a straggling one
-gets a whole speculative twin on the worker fleet.
+either way).  Inside its worker a bundle runs workload by workload
+(grouped by trace set), so the worker's bounded trace and warm memos
+hold one workload at a time.  A bundle is the unit of dispatch and of
+tail rescue: a timed-out bundle retries whole on the local pool, and a
+straggling one gets a whole speculative twin on the worker fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    ClassVar,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.config import MicroarchConfig
 from repro.core.simulation import (
@@ -102,11 +113,15 @@ class ContinuationRun:
 class ContinuationJob:
     """A bundle of runs executed inside one worker.
 
-    ``execute()`` returns one :class:`~repro.core.simulation.SimResult`
-    per run, in run order. Traces and post-warm snapshots are shared
-    within the worker through the process memo and (when the runner
-    activated one) the content-addressed store, so a bundle pays the
-    cold-start cost once per distinct workload rather than once per run.
+    ``execute()`` runs the bundle grouped by trace set: every run of the
+    first workload (in run order), then every run of the next, and so
+    on. The process trace and warm memos are small LRUs, so a bundle
+    that interleaved its workloads would evict and reload them run
+    after run; grouped, each workload's traces and warm snapshot are
+    loaded once per bundle and the worker holds one workload at a time.
+    Results are returned in run order, one
+    :class:`~repro.core.simulation.SimResult` per run, and do not depend
+    on execution order (every run is a pure function of its identity).
     The result cache operates per *run*, not per bundle (each run caches
     as the :class:`~repro.runner.jobs.SimJob` it replaces), so reuse
     survives re-bundling; the bundle itself never presents an identity
@@ -127,7 +142,14 @@ class ContinuationJob:
     def execute(
         self, cache: Optional["ResultCache"] = None
     ) -> Tuple[SimResult, ...]:
-        return tuple(run.execute(cache) for run in self.runs)
+        groups: Dict[Tuple[Tuple[str, int, int], ...], List[int]] = {}
+        for i, run in enumerate(self.runs):
+            groups.setdefault(tuple(run.trace_triples()), []).append(i)
+        results: List[Optional[SimResult]] = [None] * len(self.runs)
+        for indices in groups.values():
+            for i in indices:
+                results[i] = self.runs[i].execute(cache)
+        return tuple(results)
 
     def trace_manifest(self) -> Tuple[TraceUnit, ...]:
         """One :class:`~repro.runner.jobs.TraceUnit` per bundled run (the

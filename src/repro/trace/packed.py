@@ -42,11 +42,6 @@ from repro.ioutil import atomic_write_bytes
 from repro.isa.instruction import TraceEntry
 from repro.isa.opcodes import OP_BRANCH, OP_CALL, OP_LOAD, OP_RETURN, OP_STORE
 
-try:  # numpy accelerates packing/warm-sequence extraction; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
 __all__ = [
     "PACK_FORMAT_VERSION",
     "PackedTrace",
@@ -227,38 +222,9 @@ class WarmSequences(NamedTuple):
 
 
 def warm_sequences(packed: PackedTrace) -> WarmSequences:
-    """Extract :class:`WarmSequences` from packed columns (numpy-backed
-    when available; the pure-Python fallback is exact but slower)."""
-    if _np is not None:
-        return _warm_sequences_numpy(packed)
-    return _warm_sequences_python(packed)
-
-
-def _warm_sequences_numpy(packed: PackedTrace) -> WarmSequences:
-    np = _np
-    op = np.frombuffer(packed.columns[0], dtype=np.int64)
-    addr = np.frombuffer(packed.columns[4], dtype=np.int64)
-    taken = np.frombuffer(packed.columns[5], dtype=np.int64)
-    pc = np.frombuffer(packed.columns[6], dtype=np.int64)
-
-    mem_mask = (op == OP_LOAD) | (op == OP_STORE)
-    br_mask = op == OP_BRANCH
-    ctl_mask = br_mask | (op == OP_CALL) | (op == OP_RETURN)
-    btb_mask = ctl_mask & (taken != 0)
-    next_pc = np.roll(pc, -1)
-
-    return WarmSequences(
-        mem_addrs=addr[mem_mask].tolist(),
-        branch_pcs=pc[br_mask].tolist(),
-        branch_taken=(taken[br_mask] != 0).tolist(),
-        btb_pcs=pc[btb_mask].tolist(),
-        btb_targets=next_pc[btb_mask].tolist(),
-        fetch_pcs=pc.tolist(),
-        junk_pcs=list(packed.junk_columns[6]),
-    )
-
-
-def _warm_sequences_python(packed: PackedTrace) -> WarmSequences:
+    """Extract :class:`WarmSequences` from packed columns: one pass over
+    the op/addr/taken/pc columns, keeping each structure's accesses in
+    program order."""
     ops = packed.columns[0]
     addrs = packed.columns[4]
     takens = packed.columns[5]

@@ -4,7 +4,9 @@ Section 2.1 of the paper: "By means of profile information, the active
 threads are arranged by the number of data cache misses and assigned to
 the pipelines." This module is that profile pass — each benchmark's trace
 is run alone through the L1D/L2 of the baseline memory hierarchy and its
-data-cache misses counted. Results are memoized per (benchmark, length).
+data-cache misses counted. Results are memoized per (benchmark, length);
+the profile window itself is not: it is read once, through
+:func:`~repro.trace.stream.transient_trace`, and freed with the pass.
 
 :class:`ProfileJob` is one profile pass as a runner job, and
 :func:`ensure_profiles` memoizes a whole set of them computed as one
@@ -19,7 +21,7 @@ from typing import Callable, ClassVar, Dict, Iterable, List, Sequence, Tuple
 
 from repro.isa.opcodes import OP_LOAD, OP_STORE
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
-from repro.trace.stream import trace_for
+from repro.trace.stream import transient_trace
 
 __all__ = [
     "DCacheProfile",
@@ -67,11 +69,16 @@ def profile_benchmark(
     second pass — the paper's profiles are steady-state rates over 300M
     instructions, so the cold-start transient of our short windows must
     not contaminate the sort key.
+
+    The window is read through :func:`~repro.trace.stream.
+    transient_trace`, so it stays out of the process trace memo: no
+    simulation shares it, and a pool worker would otherwise keep every
+    window it profiled.
     """
     key = (name, length)
     if params is None and key in _CACHE:
         return _CACHE[key]
-    trace = trace_for(name, length)
+    trace = transient_trace(name, length)
     mem = MemoryHierarchy(params, max_threads=1)
     # Warm-up pass.
     for e in trace.entries:

@@ -6,10 +6,16 @@ and the benchmark identity. Entry access wraps modulo the generated length
 practice of letting slower threads keep executing until the first thread
 retires its full instruction budget.
 
-``trace_for`` memoizes generated traces so that every microarchitecture /
-mapping evaluated on a workload sees *exactly* the same instruction
-stream (paired comparison, and a large speedup for the oracle mapping
-search).
+``trace_for`` memoizes traces so that the runs that re-simulate one
+workload (every microarchitecture and mapping of the oracle search) share
+one object and its decoded blocks. Generation is deterministic in the
+key, so every run sees *exactly* the same instruction stream either way
+(paired comparison). The memo is a small LRU (:data:`_CACHE_MAX`
+traces): a process keeps the traces of the workload it is simulating,
+not of every workload it has touched, and a trace it needs again after
+eviction comes back from the active store (an mmap) or, without one, is
+generated again. :func:`transient_trace` serves one-pass readers such as
+the profile pass without entering the memo at all.
 
 A process may additionally activate a :class:`~repro.trace.packed.
 PackedTraceStore` via :func:`set_trace_store`: ``trace_for`` then serves
@@ -34,7 +40,8 @@ times decode each block once per process.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 from repro.isa.instruction import TraceEntry
 from repro.trace.benchmarks import BenchmarkProfile, get_benchmark
@@ -47,6 +54,7 @@ __all__ = [
     "FETCH_SHIFT",
     "Trace",
     "trace_for",
+    "transient_trace",
     "clear_trace_cache",
     "set_trace_store",
     "active_trace_store",
@@ -233,7 +241,13 @@ class Trace:
         return f"<Trace {self.name}: {self.length} instructions>"
 
 
-_CACHE: Dict[Tuple[str, int, int], Trace] = {}
+#: The process trace memo: an LRU of at most :data:`_CACHE_MAX` traces,
+#: keyed by ``(name, length, instance)``.
+_CACHE: "OrderedDict[Tuple[str, int, int], Trace]" = OrderedDict()
+#: Two trace sets of the widest workload (6 threads): the set a run is
+#: simulating plus the one before it, so benchmarks shared by
+#: neighbouring workloads of a bundle stay memoized.
+_CACHE_MAX = 12
 _JUNK_LEN = 2048
 
 #: Process-wide packed store consulted by ``trace_for`` (None = disabled).
@@ -273,29 +287,56 @@ def trace_for(name: str, length: int, instance: int = 0) -> Trace:
 
     Lookup order: process memo, then the active packed store (zero-copy
     mmap load), then generation — which optionally persists the packed
-    form back to the store for other processes.
+    form back to the store for other processes (and for this one, once
+    the memo has evicted the trace).
+    """
+    key = (name, length, instance)
+    trace = _CACHE.get(key)
+    if trace is not None:
+        _CACHE.move_to_end(key)
+        return trace
+    trace = _build_trace(key, save=True)
+    _CACHE[key] = trace
+    if len(_CACHE) > _CACHE_MAX:
+        _CACHE.popitem(last=False)
+    return trace
+
+
+def transient_trace(name: str, length: int, instance: int = 0) -> Trace:
+    """The trace :func:`trace_for` returns, without entering the memo.
+
+    The memo's trace when it holds one; otherwise one loaded from the
+    active store or generated (and not saved) for this caller alone, so
+    it is freed with the caller's last reference. For one-pass readers
+    whose window no simulation shares, such as the profile pass.
     """
     key = (name, length, instance)
     trace = _CACHE.get(key)
     if trace is None:
-        profile = get_benchmark(name)
-        store = _STORE
-        packed = (
-            store.load(name, length, instance, _JUNK_LEN)
-            if store is not None
-            else None
-        )
-        if packed is not None:
-            trace = Trace(name, profile, packed=packed, key=key)
-        else:
-            program = StaticProgram(profile, seed=0)
-            gen = TraceGenerator(program, seed=instance)
-            entries = gen.generate(length)
-            junk = gen.generate_junk(_JUNK_LEN)
-            trace = Trace(name, profile, entries, junk, key=key)
-            if store is not None and store.save_on_generate:
-                store.save(PackedTrace.from_trace(trace), name, length, instance)
-        _CACHE[key] = trace
+        trace = _build_trace(key, save=False)
+    return trace
+
+
+def _build_trace(key: Tuple[str, int, int], save: bool) -> Trace:
+    """Load ``key`` from the active store, else generate it (persisting
+    the packed form when ``save`` and the store saves on generate)."""
+    name, length, instance = key
+    profile = get_benchmark(name)
+    store = _STORE
+    packed = (
+        store.load(name, length, instance, _JUNK_LEN)
+        if store is not None
+        else None
+    )
+    if packed is not None:
+        return Trace(name, profile, packed=packed, key=key)
+    program = StaticProgram(profile, seed=0)
+    gen = TraceGenerator(program, seed=instance)
+    entries = gen.generate(length)
+    junk = gen.generate_junk(_JUNK_LEN)
+    trace = Trace(name, profile, entries, junk, key=key)
+    if save and store is not None and store.save_on_generate:
+        store.save(PackedTrace.from_trace(trace), name, length, instance)
     return trace
 
 

@@ -1,11 +1,14 @@
 """Edge-case tests: interactions the main processor tests do not cover."""
 
+import pytest
 
 from repro.core.config import get_config
-from repro.core.engine import FL_MISPRED, Processor, S_FREE
+from repro.core.engine import FL_MISPRED, FL_WRONGPATH, Processor, S_FREE
+from repro.core.mapping import enumerate_mappings
 from repro.isa.opcodes import OP_BRANCH, OP_INT, OP_LOAD
 from repro.isa.registers import REG_NONE
 from repro.trace.stream import trace_for
+from repro.workloads.definitions import get_workload
 
 
 def test_flush_then_refetch_commits_everything(hand_trace):
@@ -25,8 +28,35 @@ def test_flush_then_refetch_commits_everything(hand_trace):
     assert 600 <= proc.committed[0] <= 600 + 8
 
 
+def _wrongpath_ahead_of_mispredict(proc, rob_view) -> int:
+    """Live wrong-path entries that sit, walking each thread's ROB from
+    its head, ahead of the thread's first live mispredicted entry.
+    Wrong-path instructions are fetched behind a mispredicted branch
+    and squashed when it resolves, so there must be none."""
+    states = rob_view(proc, "state")
+    flags = rob_view(proc, "flags")
+    found = 0
+    for t in range(proc.num_threads):
+        i = proc.rob_head[t]
+        for _ in range(proc.rob_count[t]):
+            if states[t][i] != S_FREE:
+                if flags[t][i] & FL_WRONGPATH:
+                    found += 1
+                if flags[t][i] & FL_MISPRED:
+                    break
+            i = (i + 1) % proc.rob_entries
+    return found
+
+
+def _step_checking_rob(proc, rob_view) -> None:
+    while not proc.finished:
+        proc.step()
+        assert _wrongpath_ahead_of_mispredict(proc, rob_view) == 0, proc.cycle
+
+
 def test_mispredict_inside_fetch_packet_squashes_junk_only(hand_trace, rob_view):
-    """Wrong-path instructions must never commit."""
+    """Wrong-path instructions must never commit: checked every cycle,
+    none ever reaches the ROB head ahead of the branch it follows."""
     entries = []
     for i in range(3000):
         if i % 7 == 3:
@@ -37,18 +67,27 @@ def test_mispredict_inside_fetch_packet_squashes_junk_only(hand_trace, rob_view)
         else:
             entries.append((OP_INT, 1 + (i % 5), 1, REG_NONE, 0, 0, 0x40_0000 + 4 * i))
     proc = Processor(get_config("M8"), [hand_trace(entries)], (0,), 700, )
-    proc.run()
-    # Committed instructions are exactly the correct-path prefix: the
-    # committed count equals the fetch index progress minus in-flight.
+    _step_checking_rob(proc, rob_view)
     assert proc.committed[0] >= 700
-    # No wrong-path instruction may remain dirty at the head.
-    t = 0
-    state, flags = rob_view(proc, "state")[t], rob_view(proc, "flags")[t]
-    i = proc.rob_head[t]
-    for _ in range(proc.rob_count[t]):
-        if state[i] != S_FREE:
-            assert not (flags[i] & FL_MISPRED) or True
-        i = (i + 1) % proc.rob_entries
+    # The wrong path was really taken, and squashed.
+    assert sum(proc.stat_mispredicts) > 0
+    assert sum(proc.stat_wrongpath_fetched) > 0
+    assert sum(proc.stat_squashed) > 0
+
+
+@pytest.mark.parametrize("config_name", ["M8", "2M4+2M2"])
+def test_wrong_path_never_ahead_of_its_branch_on_4w6(config_name, rob_view):
+    """The same per-cycle ROB check on a real workload: 4W6 (gzip,
+    twolf, bzip2, mcf) after warm-up, on the monolithic baseline and on
+    a heterogeneous machine."""
+    cfg = get_config(config_name)
+    benchmarks = get_workload("4W6").benchmarks
+    traces = [trace_for(b, 1500) for b in benchmarks]
+    mapping = enumerate_mappings(cfg, len(benchmarks))[0]
+    proc = Processor(cfg, traces, mapping, 400)
+    proc.warm()
+    _step_checking_rob(proc, rob_view)
+    assert sum(proc.stat_wrongpath_fetched) > 0
 
 
 def test_threads_per_cycle_rename_limit():

@@ -184,7 +184,7 @@ def test_profiles_from_the_pool_equal_serial_profiles(monkeypatch):
         raise AssertionError("profile recomputed instead of memoized")
 
     with monkeypatch.context() as m:
-        m.setattr(profiling, "trace_for", boom)
+        m.setattr(profiling, "transient_trace", boom)
         pooled = [profile_benchmark(b) for b in BENCHMARK_NAMES]
     clear_profile_cache()
     assert pooled == [profile_benchmark(b) for b in BENCHMARK_NAMES]

@@ -18,7 +18,10 @@ from repro.runner import (
     SimJob,
     SupervisedExecutor,
 )
+from repro.runner.continuation import ContinuationJob, ContinuationRun
 from repro.runner.resilience import JobError, _BatchState, _Flight
+from repro.trace.profiling import PROFILE_LENGTH, ProfileJob
+from repro.workloads.definitions import get_workload
 
 
 # ---------------------------------------------------------------- equivalence
@@ -394,6 +397,59 @@ def test_pool_workers_free_every_finished_simulation():
         results = runner.run(probes)
     assert all(pid != os.getpid() for pid, _ in results)
     assert [live for _, live in results] == [0, 0]
+
+
+@dataclasses.dataclass(frozen=True)
+class _MemoProbe:
+    """Runs a bundle over several workloads and then the profile pass of
+    one benchmark in whichever process executes it, and reports ``(pid,
+    memoized traces, warm snapshots, longest memoized trace)`` there.
+    Profiling last, a window the pass left in the memo would still be
+    there. Its trace manifest is the bundle's, so the runner prepacks
+    the traces and warm snapshots, as it does for a sweep."""
+
+    profiled: str
+    bundle: ContinuationJob
+
+    heavy: ClassVar[bool] = True
+
+    def execute(self, cache=None):
+        import repro.core.engine.warm as warm
+        import repro.trace.stream as stream
+
+        self.bundle.execute(cache)
+        ProfileJob(self.profiled).execute()
+        longest = max((t.length for t in stream._CACHE.values()), default=0)
+        return os.getpid(), len(stream._CACHE), len(warm._WARM_CACHE), longest
+
+    def trace_manifest(self):
+        return self.bundle.trace_manifest()
+
+
+def test_pool_workers_hold_bounded_memos():
+    """A worker holds one workload at a time: after a bundle over three
+    workloads at two trace lengths (24 traces, 6 warm sets) and a
+    profile pass, each worker's trace and warm memos are within their
+    bounds and hold no profile window."""
+    import repro.core.engine.warm as warm
+    import repro.trace.stream as stream
+
+    runs = tuple(
+        ContinuationRun("M8", get_workload(name).benchmarks,
+                        (0,) * len(get_workload(name).benchmarks), 150,
+                        trace_length=length)
+        for length in (600, 700)
+        for name in ("4W4", "6W1", "2W4")
+    )
+    probes = [_MemoProbe("mcf", ContinuationJob(runs)),
+              _MemoProbe("gzip", ContinuationJob(runs[::-1]))]
+    with BatchRunner(workers=2) as runner:
+        results = runner.run(probes)
+    assert all(pid != os.getpid() for pid, *_ in results)
+    for _, traces, snapshots, longest in results:
+        assert 0 < traces <= stream._CACHE_MAX
+        assert 0 < snapshots <= warm._WARM_CACHE_MAX
+        assert longest < PROFILE_LENGTH
 
 
 # ------------------------------------------------------------- retry jitter

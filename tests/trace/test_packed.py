@@ -8,12 +8,13 @@ profile, through bytes, files and mmap alike.
 
 import pytest
 
+from repro.isa.opcodes import OP_BRANCH, OP_CALL, OP_LOAD, OP_RETURN, OP_STORE
 from repro.trace.benchmarks import BENCHMARK_NAMES
 from repro.trace.packed import (
     PACK_FORMAT_VERSION,
     PackedTrace,
     PackedTraceStore,
-    _warm_sequences_python,
+    WarmSequences,
     warm_sequences,
 )
 from repro.trace.stream import (
@@ -76,9 +77,38 @@ def test_packed_backed_trace_is_lazy_and_exact():
     assert len(lazy) == len(base)
 
 
-def test_warm_sequences_numpy_matches_pure_python():
-    packed = PackedTrace.from_trace(trace_for("mcf", _LEN))
-    assert warm_sequences(packed) == _warm_sequences_python(packed)
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_warm_sequences_match_a_per_entry_derivation(name):
+    """Each structure's warm stream is what a per-entry walk over the
+    trace's tuples issues, in program order: d-side addresses of loads
+    and stores, conditional-branch outcomes, taken control transfers
+    with the next entry's PC as target, every correct-path PC and every
+    wrong-path PC. In-process columns and mmap-style buffers agree."""
+    trace = trace_for(name, _LEN)
+    entries = trace.entries
+    n = len(entries)
+    mem_addrs, branch_pcs, branch_taken, btb_pcs, btb_targets = [], [], [], [], []
+    for i, (op, _dest, _src1, _src2, addr, taken, pc) in enumerate(entries):
+        if op in (OP_LOAD, OP_STORE):
+            mem_addrs.append(addr)
+        if op == OP_BRANCH:
+            branch_pcs.append(pc)
+            branch_taken.append(bool(taken))
+        if op in (OP_BRANCH, OP_CALL, OP_RETURN) and taken:
+            btb_pcs.append(pc)
+            btb_targets.append(entries[(i + 1) % n][6])
+    expected = WarmSequences(
+        mem_addrs=mem_addrs,
+        branch_pcs=branch_pcs,
+        branch_taken=branch_taken,
+        btb_pcs=btb_pcs,
+        btb_targets=btb_targets,
+        fetch_pcs=[e[6] for e in entries],
+        junk_pcs=[e[6] for e in trace.junk],
+    )
+    packed = PackedTrace.from_trace(trace)
+    assert warm_sequences(packed) == expected
+    assert warm_sequences(PackedTrace.from_buffer(packed.to_bytes())) == expected
 
 
 def test_empty_trace_rejected():
