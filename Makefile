@@ -27,11 +27,6 @@
 #
 # Local subsets of the tier-1 suite:
 #
-#   make chaos-remote  the distributed suites: real `repro worker`
-#                 processes under REPRO_FAULT_PLAN (worker death, hangs
-#                 past lease expiry, stale-lease takeover, speculative
-#                 straggler twins), asserting bit-identical output + an
-#                 eventful run report
 #   make cache-smoke  the result cache (sharded layout, corruption
 #                 fallback, stats/prune, key pins), the service's
 #                 rendered-frame LRU, and the `repro cache` CLI verbs
@@ -47,8 +42,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test cov bench figures ci lint perfbench chaos chaos-remote \
-	serve-smoke cache-smoke
+.PHONY: test cov bench figures ci lint perfbench chaos serve-smoke \
+	cache-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -56,12 +51,6 @@ test:
 chaos:
 	REPRO_WORKERS=2 $(PYTHON) -m pytest -x -q \
 		tests/runner/test_faults.py tests/runner/test_resilience.py
-
-chaos-remote:
-	$(PYTHON) -m pytest -x -q \
-		tests/runner/test_distributed_queue.py \
-		tests/runner/test_distributed.py \
-		tests/runner/test_distributed_chaos.py
 
 serve-smoke:
 	$(PYTHON) -m pytest -x -q tests/service/test_serve_smoke.py

@@ -14,11 +14,6 @@ figures
     (writes the same artifacts as the benchmark harness).
 workloads
     List the paper's workload tables.
-worker
-    Serve a distributed job queue: claim leased tasks, execute them
-    against the shared result cache, publish results
-    (see :mod:`repro.runner.distributed`). Pair with
-    ``figures --queue DIR`` or ``REPRO_DIST_QUEUE``.
 serve
     Run the persistent simulation service: an asyncio daemon over one
     shared :class:`~repro.runner.BatchRunner` that accepts
@@ -126,9 +121,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         policy = replace(policy, timeout=args.job_timeout)
     if args.max_attempts is not None:
         policy = replace(policy, max_attempts=args.max_attempts)
-    with BatchRunner(
-        workers=args.jobs, policy=policy, queue_dir=args.queue
-    ) as runner:
+    with BatchRunner(workers=args.jobs, policy=policy) as runner:
         results = run_performance_experiment(
             workload_names=workloads,
             scale=scale,
@@ -152,12 +145,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"run report written to {path}")
     return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.runner.distributed import run_worker
-
-    return run_worker(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -293,72 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
         "into one worker job per worker process)",
     )
     p_fig.add_argument(
-        "--queue",
-        default=None,
-        help="distributed job-queue directory (default: REPRO_DIST_QUEUE; "
-        "unset = local execution) — parallel batches are served by "
-        "`repro worker --queue DIR` processes watching the same "
-        "directory, degrading to the local pool when none shows up",
-    )
-    p_fig.add_argument(
         "--report-json",
         metavar="PATH",
         default=None,
-        help="write the final RunReport (jobs, retries, lease reclaims, "
-        "speculative re-dispatches, ...) as JSON to PATH",
+        help="write the final RunReport (jobs, retries, timeouts, pool "
+        "respawns, ...) as JSON to PATH",
     )
     p_fig.set_defaults(func=_cmd_figures)
-
-    p_wrk = sub.add_parser(
-        "worker",
-        help="serve a distributed job queue (repro worker --queue DIR)",
-    )
-    p_wrk.add_argument("--queue", required=True, help="shared queue directory")
-    p_wrk.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable identity for leases/heartbeats (default: w<pid>)",
-    )
-    p_wrk.add_argument(
-        "--lease-ttl",
-        type=positive_float,
-        default=None,
-        help="lease lifetime in seconds; a worker that stops renewing "
-        "for this long forfeits its task (default: REPRO_LEASE_TTL or 10)",
-    )
-    p_wrk.add_argument(
-        "--heartbeat",
-        type=positive_float,
-        default=None,
-        help="lease/heartbeat renewal interval (default: lease-ttl / 3)",
-    )
-    p_wrk.add_argument(
-        "--cache",
-        default=None,
-        help="result-cache directory (default: the queue's config.json, "
-        "published by the front end)",
-    )
-    p_wrk.add_argument(
-        "--store",
-        default=None,
-        help="packed-trace / warm-snapshot store directory (default: the "
-        "queue's config.json)",
-    )
-    p_wrk.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="exit after executing this many tasks (default: serve "
-        "until a stop marker appears)",
-    )
-    p_wrk.add_argument(
-        "--idle-exit",
-        type=float,
-        default=None,
-        help="exit after this many seconds without claimable work "
-        "(default: keep polling)",
-    )
-    p_wrk.set_defaults(func=_cmd_worker)
 
     p_srv = sub.add_parser(
         "serve",
@@ -378,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shared result-cache directory (default: REPRO_RESULT_CACHE; "
         "unset = a private temporary cache for this instance)",
-    )
-    p_srv.add_argument(
-        "--queue",
-        default=None,
-        help="distributed job-queue directory (default: REPRO_DIST_QUEUE; "
-        "unset = the local supervised pool)",
     )
     p_srv.add_argument(
         "--max-queue",

@@ -50,16 +50,7 @@ fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   :class:`~repro.runner.resilience.RunReport` (``runner.report``), and a
   deterministic fault-injection harness (:mod:`repro.runner.faults`,
   env-gated by ``REPRO_FAULT_PLAN``) exercises each path with real
-  worker processes;
-* **distributed, elastic execution** — with a queue directory configured
-  (``REPRO_DIST_QUEUE`` / ``BatchRunner(queue_dir=...)``), parallel
-  batches go through a crash-consistent filesystem
-  :class:`~repro.runner.distributed.JobQueue` to a fleet of
-  ``repro worker`` processes (lease-based ownership with heartbeats,
-  first-wins result publishing, speculative straggler re-dispatch), and
-  degrade to the local supervised pool whenever the fleet never shows,
-  goes dark, or stalls — results stay bit-identical to local execution
-  either way (see :mod:`repro.runner.distributed`).
+  worker processes.
 
 Worker count: the ``workers`` argument, else the ``REPRO_WORKERS``
 environment variable, else ``os.cpu_count()``. ``workers=1`` (or a batch
@@ -73,11 +64,6 @@ from repro.runner.continuation import (
     ContinuationRun,
     plan_bundles,
     run_bundled,
-)
-from repro.runner.distributed import (
-    DistributedExecutor,
-    JobQueue,
-    Worker,
 )
 from repro.runner.jobs import Job, SimJob, TraceUnit
 from repro.runner.resilience import (
@@ -105,7 +91,4 @@ __all__ = [
     "SupervisedExecutor",
     "JobError",
     "JobTimeoutError",
-    "DistributedExecutor",
-    "JobQueue",
-    "Worker",
 ]

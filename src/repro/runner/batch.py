@@ -75,7 +75,6 @@ from typing import (
 )
 
 from repro.runner.cache import ResultCache
-from repro.runner.distributed import DistributedExecutor, JobQueue
 from repro.runner.jobs import SimJob
 from repro.runner.resilience import RetryPolicy, RunReport, SupervisedExecutor
 from repro.settings import Settings
@@ -241,14 +240,6 @@ class BatchRunner:
         dispatch (attempt budget, backoff, per-job timeout, respawn
         budget); defaults to the environment's
         (:meth:`repro.settings.Settings.retry_policy`).
-    queue_dir:
-        Distributed-execution job-queue directory; defaults to
-        ``REPRO_DIST_QUEUE``; None (and no env) keeps execution local.
-        When set, parallel batches are enqueued for ``repro worker``
-        processes watching the same directory (see
-        :mod:`repro.runner.distributed`), with automatic degradation to
-        the local supervised pool when no worker shows up, the fleet
-        goes dark, or progress stalls.
 
     Results are independent of the worker count — simulations are pure
     functions of their job — so callers may treat ``workers`` purely as a
@@ -263,7 +254,6 @@ class BatchRunner:
         cache_dir: Optional[Union[str, os.PathLike]] = None,
         trace_store: Union[None, bool, str, os.PathLike] = None,
         policy: Optional[RetryPolicy] = None,
-        queue_dir: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
         self._supervisor: Optional[SupervisedExecutor] = None  # before any raise
         self._own_store_tmp: Optional[tempfile.TemporaryDirectory] = None
@@ -290,15 +280,6 @@ class BatchRunner:
         #: traces already packed into the store (parent-side memo)
         self._packed_triples: Set[Tuple[str, int, int]] = set()
         self.jobs_run = 0
-        if queue_dir is None:
-            queue_dir = settings.dist_queue
-        self.queue_dir = str(queue_dir) if queue_dir is not None else None
-        self.queue = JobQueue(self.queue_dir) if self.queue_dir else None
-        self._distributor: Optional[DistributedExecutor] = None
-        if self.queue is not None:
-            # Publish the execution context so bare `repro worker --queue`
-            # invocations share this runner's cache and trace store.
-            self.queue.write_config(self.cache_dir, self.store_dir)
 
     # -- lifecycle ---------------------------------------------------------
     #
@@ -377,11 +358,6 @@ class BatchRunner:
         ``KeyboardInterrupt`` cancels outstanding futures and shuts the
         pool down without waiting, so Ctrl-C on a sweep exits promptly
         instead of leaking workers.
-
-        With a job queue configured (``queue_dir`` /
-        ``REPRO_DIST_QUEUE``), batches big enough to parallelize are
-        dispatched to the remote worker fleet instead, with the local
-        supervised path as the fallback at every degradation point.
         """
         if self._closed:
             # The serving layer keeps one runner alive across thousands
@@ -390,17 +366,6 @@ class BatchRunner:
             raise RuntimeError("BatchRunner is closed")
         jobs = list(jobs)
         self.jobs_run += len(jobs)
-        if self.queue is not None and len(jobs) >= self._min_parallel(jobs):
-            # Workers need the packed traces / warm snapshots just like
-            # pool processes do — prepack before the first task lands.
-            self._prepack_traces(jobs)
-            if self._distributor is None:
-                self._distributor = DistributedExecutor(
-                    self.queue,
-                    policy=self.policy,
-                    report=self.report,
-                )
-            return self._distributor.run(jobs, fallback=self._run_local)
         return self._run_local(jobs)
 
     @staticmethod
@@ -412,10 +377,10 @@ class BatchRunner:
         )
 
     def _run_local(self, jobs: Sequence) -> List:
-        """The local execution ladder: inline for small batches or a
-        single worker, the supervised pool otherwise.  Also the fallback
-        the distributed front end drains into, so a remainder handed
-        back mid-batch re-decides inline-vs-pool on its own size."""
+        """The execution ladder: inline for small batches or a single
+        worker, the supervised pool otherwise.  Prep units run through
+        here rather than :meth:`run`, so they count in neither
+        ``jobs_run`` nor the caller's batches."""
         jobs = list(jobs)
         if self.workers <= 1 or len(jobs) < self._min_parallel(jobs):
             return self._run_inline(jobs)

@@ -19,8 +19,7 @@ warm snapshots are shared through the runner's content-addressed stores
 either way).  Inside its worker a bundle runs workload by workload
 (grouped by trace set), so the worker's bounded trace and warm memos
 hold one workload at a time.  A bundle is the unit of dispatch and of
-tail rescue: a timed-out bundle retries whole on the local pool, and a
-straggling one gets a whole speculative twin on the worker fleet.
+tail rescue: a timed-out bundle retries whole on the pool.
 """
 
 from __future__ import annotations

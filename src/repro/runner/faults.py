@@ -19,6 +19,9 @@ for free:
          "hang_seconds": 3600.0,  # op == "hang"
          "exit_code": 17}         # op == "die"
 
+    Any other key is an error, so a misspelt field cannot silently
+    fall back to its default.
+
 ``REPRO_FAULT_STATE``
     Directory for the cross-process execution counters (required when a
     plan is set). Ordinals are claimed with exclusive file creation
@@ -41,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -66,45 +69,32 @@ class InjectedFault(RuntimeError):
 @dataclass(frozen=True)
 class FaultRule:
     """One deterministic fault: fire ``op`` on the Nth execution(s) of a
-    job whose ``repr`` contains ``match``.
-
-    ``scope`` restricts where the rule applies: ``"pool"`` (local
-    process-pool workers), ``"worker"`` (remote ``repro worker``
-    processes), or ``"any"`` (both, the default).  Out-of-scope
-    executions neither fire nor consume ordinals, so one plan can
-    target the two execution contexts independently.  The
-    ``stale_lease`` op is remote-worker-only by construction (it
-    freezes lease renewal — local pool workers hold no lease) and is
-    returned to the caller to act on rather than raised/slept here.
-    """
+    job whose ``repr`` contains ``match``."""
 
     match: str
     op: str
     executions: Tuple[int, ...] = (1,)
     hang_seconds: float = 3600.0
     exit_code: int = 17
-    scope: str = "any"
 
-    _OPS = ("raise", "hang", "die", "stale_lease")
-    _SCOPES = ("any", "pool", "worker")
+    _OPS = ("raise", "hang", "die")
 
     def __post_init__(self) -> None:
         if self.op not in self._OPS:
             raise ValueError(f"unknown fault op {self.op!r} (want {self._OPS})")
-        if self.scope not in self._SCOPES:
-            raise ValueError(
-                f"unknown fault scope {self.scope!r} (want {self._SCOPES})"
-            )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultRule":
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(payload) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown fault rule key(s) {unknown} (want {keys})")
         return cls(
             match=str(payload.get("match", "")),
-            op=str(payload["op"]).replace("-", "_"),
+            op=str(payload["op"]),
             executions=tuple(int(n) for n in payload.get("executions", [1])),
             hang_seconds=float(payload.get("hang_seconds", 3600.0)),
             exit_code=int(payload.get("exit_code", 17)),
-            scope=str(payload.get("scope", "any")),
         )
 
 
@@ -159,25 +149,18 @@ def _claim_execution(state_dir: str, rule_index: int) -> int:
         return n
 
 
-def maybe_inject_fault(job, context: str = "pool") -> Optional[FaultRule]:
+def maybe_inject_fault(job) -> None:
     """Fire the first matching due fault for ``job``, if any.
 
-    Called at the top of the worker-side execution paths — ``context``
-    says which one: ``"pool"`` for local process-pool workers,
-    ``"worker"`` for remote ``repro worker`` processes.  Rules scoped to
-    the other context are skipped entirely (no ordinal consumed).  A
-    no-op unless ``REPRO_FAULT_PLAN`` is set (the parsed plan is cached
-    per process, keyed on the env value). ``REPRO_FAULT_STATE`` must
-    name a directory when a plan is active — failing loudly beats a
-    chaos suite that silently injects nothing.
-
-    ``raise``/``hang``/``die`` execute here; a due ``stale_lease`` rule
-    is *returned* for the remote worker to act on (freeze lease renewal
-    and stall), since only that caller owns a lease.
+    Called at the top of the pool worker's execution path.  A no-op
+    unless ``REPRO_FAULT_PLAN`` is set (the parsed plan is cached per
+    process, keyed on the env value). ``REPRO_FAULT_STATE`` must name a
+    directory when a plan is active — failing loudly beats a chaos suite
+    that silently injects nothing.
     """
     plan = _active_plan()
     if not plan:
-        return None
+        return
     state_dir = os.environ.get(ENV_FAULT_STATE)
     if not state_dir:
         raise RuntimeError(
@@ -188,10 +171,6 @@ def maybe_inject_fault(job, context: str = "pool") -> Optional[FaultRule]:
     os.makedirs(state_dir, exist_ok=True)
     desc = repr(job)
     for rule_index, rule in enumerate(plan):
-        if rule.scope != "any" and rule.scope != context:
-            continue
-        if rule.op == "stale_lease" and context != "worker":
-            continue  # meaningless without a lease to go stale
         if rule.match and rule.match not in desc:
             continue
         ordinal = _claim_execution(state_dir, rule_index)
@@ -204,12 +183,9 @@ def maybe_inject_fault(job, context: str = "pool") -> Optional[FaultRule]:
             )
         if rule.op == "hang":
             time.sleep(rule.hang_seconds)
-            return None
+            return
         if rule.op == "die":
             os._exit(rule.exit_code)
-        if rule.op == "stale_lease":
-            return rule
-    return None
 
 
 def corrupt_cache_entry(cache, job, mode: str = "truncate") -> Path:

@@ -97,8 +97,7 @@ class RetryPolicy:
         Fractional de-synchronization of the backoff schedule: each
         delay is scaled by a uniform draw from ``1 ± jitter/2``, so a
         whole bundle failed by one event does not retry in lockstep
-        (the thundering-herd fix; also spreads a distributed fleet's
-        post-failure re-claims).  ``0`` (the default) keeps delays
+        (the thundering-herd fix).  ``0`` (the default) keeps delays
         exact; deterministic when the caller passes a seeded RNG to
         :meth:`backoff_for`.
     timeout:
@@ -149,7 +148,7 @@ class RetryPolicy:
 
 #: RunReport fields that size a run rather than count a recovery event
 _VOLUME_FIELDS = frozenset(
-    {"jobs", "batches", "attempts", "enqueued", "wall_seconds", "job_seconds"}
+    {"jobs", "batches", "attempts", "wall_seconds", "job_seconds"}
 )
 
 
@@ -174,16 +173,6 @@ class RunReport:
     pool_respawns: int = 0
     inline_fallbacks: int = 0
     cache_fallbacks: int = 0
-    #: -- distributed execution (see repro.runner.distributed) --------------
-    #: jobs durably enqueued onto a remote-worker queue
-    enqueued: int = 0
-    #: expired leases broken so a lost/hung worker's task became claimable
-    lease_reclaims: int = 0
-    #: speculative straggler twins dispatched (first result wins)
-    speculations: int = 0
-    #: batches (or batch remainders) degraded from the worker fleet to
-    #: the local supervised path (empty fleet, dark fleet, stall)
-    local_fallbacks: int = 0
     wall_seconds: float = 0.0
     job_seconds: List[float] = field(default_factory=list)
 
@@ -240,7 +229,7 @@ class RunReport:
 
     def describe(self) -> str:
         """One-line summary for sweep footers and logs."""
-        line = (
+        return (
             f"{self.jobs} jobs / {self.attempts} attempts in "
             f"{self.wall_seconds:.1f}s — {self.retries} retries, "
             f"{self.timeouts} timeouts, {self.pool_respawns} pool "
@@ -248,15 +237,6 @@ class RunReport:
             f"{self.cache_fallbacks} cache fallbacks, "
             f"{self.failures} hard failures"
         )
-        if self.enqueued or self.lease_reclaims or self.speculations \
-                or self.local_fallbacks:
-            line += (
-                f"; distributed: {self.enqueued} enqueued, "
-                f"{self.lease_reclaims} lease reclaims, "
-                f"{self.speculations} speculative re-dispatches, "
-                f"{self.local_fallbacks} local fallbacks"
-            )
-        return line
 
 
 @dataclass

@@ -112,11 +112,7 @@ def run_serve(args) -> int:
         logger.info("no result cache configured; using private %s "
                     "(set --cache/REPRO_RESULT_CACHE to share across "
                     "instances)", cache_dir)
-    runner = BatchRunner(
-        workers=args.jobs,
-        cache_dir=cache_dir,
-        queue_dir=args.queue,
-    )
+    runner = BatchRunner(workers=args.jobs, cache_dir=cache_dir)
     service = ReproService(
         runner,
         cache=runner.cache,

@@ -3,8 +3,7 @@
 :class:`ReproService` is the long-lived layer the ``repro serve`` daemon
 runs: it accepts :mod:`~repro.service.protocol` requests over any number
 of client connections, executes them on **one** shared
-:class:`~repro.runner.batch.BatchRunner` (the supervised pool — or the
-distributed fleet when the runner has a queue configured), and streams
+:class:`~repro.runner.batch.BatchRunner` (the supervised pool), and streams
 progress plus the final canonical payload back.  Four tiers keep repeat
 traffic off the simulator:
 
@@ -25,8 +24,8 @@ traffic off the simulator:
    through the runner's :class:`~repro.runner.cache.ResultCache`; a
    fully warm request is served without touching the pool at all.
 4. **the pool itself** — cold jobs execute through ``runner.run`` with
-   all of its supervision (retry, timeout, respawn, distributed
-   backend), populating the cache for every later tenant.
+   all of its supervision (retry, timeout, respawn, inline
+   degradation), populating the cache for every later tenant.
 
 Admission is bounded: at most ``max_queue`` flights may wait behind the
 executing one, and requests beyond that are refused with a *retryable*

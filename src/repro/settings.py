@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.resilience import RetryPolicy
 
-__all__ = ["KINDS", "Settings", "fraction", "non_negative_float",
-           "non_negative_int", "path", "positive_float", "positive_int"]
+__all__ = ["KINDS", "Settings", "non_negative_float", "non_negative_int",
+           "path", "positive_float", "positive_int"]
 
 
 def positive_int(text: str) -> int:
@@ -54,13 +54,6 @@ def non_negative_float(text: str) -> float:
     return value
 
 
-def fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(text)
-    return value
-
-
 def path(text: str) -> str:
     return text
 
@@ -71,7 +64,6 @@ KINDS = {
     non_negative_int: "an integer >= 0",
     positive_float: "a finite number > 0",
     non_negative_float: "a finite number >= 0",
-    fraction: "a number in [0, 1]",
     path: "a path",
 }
 
@@ -89,7 +81,6 @@ class Settings:
     workers: Optional[int] = _var("REPRO_WORKERS", positive_int)
     result_cache: Optional[str] = _var("REPRO_RESULT_CACHE", path)
     trace_cache: Optional[str] = _var("REPRO_TRACE_CACHE", path)
-    dist_queue: Optional[str] = _var("REPRO_DIST_QUEUE", path)
     #: `repro serve`'s rendered-frame LRU budget (ReproService)
     mem_cache_mb: float = _var("REPRO_MEM_CACHE_MB", non_negative_float, 64.0)
     sim_scale: Optional[float] = _var("REPRO_SIM_SCALE", positive_float)
@@ -100,11 +91,6 @@ class Settings:
     retry_backoff: float = _var("REPRO_RETRY_BACKOFF", non_negative_float, 0.1)
     retry_jitter: float = _var("REPRO_RETRY_JITTER", non_negative_float, 0.0)
     max_pool_respawns: int = _var("REPRO_MAX_POOL_RESPAWNS", non_negative_int, 3)
-    dist_grace: float = _var("REPRO_DIST_GRACE", non_negative_float, 5.0)
-    lease_ttl: float = _var("REPRO_LEASE_TTL", positive_float, 10.0)
-    spec_quantile: float = _var("REPRO_SPEC_QUANTILE", fraction, 0.5)
-    spec_factor: float = _var("REPRO_SPEC_FACTOR", positive_float, 3.0)
-    dist_stall: float = _var("REPRO_DIST_STALL", positive_float, 60.0)
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] = os.environ) -> "Settings":

@@ -336,7 +336,10 @@ def _build_trace(key: Tuple[str, int, int], save: bool) -> Trace:
     junk = gen.generate_junk(_JUNK_LEN)
     trace = Trace(name, profile, entries, junk, key=key)
     if save and store is not None and store.save_on_generate:
-        store.save(PackedTrace.from_trace(trace), name, length, instance)
+        # Keep the packed form: warm_sequences() reads it instead of
+        # packing the same entries again.
+        trace.packed = PackedTrace.from_trace(trace)
+        store.save(trace.packed, name, length, instance)
     return trace
 
 

@@ -94,3 +94,18 @@ def test_invalid_fetch_policy_rejected():
 
     with pytest.raises(ValueError):
         replace(get_config("3M4"), fetch_policy="bogus")
+
+
+@pytest.mark.parametrize("name", STANDARD_CONFIG_NAMES)
+def test_standard_config_round_trips_its_name(name):
+    """Each Fig. 3 configuration is exactly the pipelines its name spells,
+    widest first, however the terms are ordered or counted."""
+    cfg = get_config(name)
+    assert cfg.pipelines == parse_config_name(name)
+    widths = [p.width for p in cfg.pipelines]
+    assert widths == sorted(widths, reverse=True)
+    spelled = "+".join(f"{n}{m}" for m, n in cfg.pipeline_counts().items())
+    assert parse_config_name(spelled) == cfg.pipelines
+    reordered = "+".join(reversed(name.split("+")))
+    assert parse_config_name(reordered) == cfg.pipelines
+    assert all(f"{n}x{m}" in cfg.describe() for m, n in cfg.pipeline_counts().items())

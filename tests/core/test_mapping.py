@@ -8,7 +8,12 @@ from itertools import product
 import pytest
 
 import repro.experiments.performance as performance
-from repro.core.config import STANDARD_CONFIG_NAMES, get_config
+from repro.core.config import (
+    HETEROGENEOUS_CONFIG_NAMES,
+    HOMOGENEOUS_CONFIG_NAMES,
+    STANDARD_CONFIG_NAMES,
+    get_config,
+)
 from repro.core.mapping import (
     _wasteful,
     canonical_mapping,
@@ -21,7 +26,7 @@ from repro.core.mapping import (
     round_robin_mapping,
 )
 from repro.trace.profiling import profile_benchmark
-from repro.workloads.definitions import WORKLOADS
+from repro.workloads.definitions import WORKLOAD_NAMES, WORKLOADS, get_workload
 
 
 def pipes(cfg_name):
@@ -155,6 +160,31 @@ def test_sampling_cap_deterministic():
     assert a == b
     c = enumerate_mappings(cfg, 6, max_mappings=12, seed=1)
     assert a != c  # different sample (astronomically unlikely to collide)
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_heuristic_places_each_workload_by_profiled_misses(workload):
+    """§2.1 on every paper workload and clustered configuration: a thread
+    with fewer profiled misses never sits on a narrower pipeline than one
+    with more; with spare contexts the widest pipeline holds only the
+    least-missing thread; and every thread gets a context."""
+    w = get_workload(workload)
+    misses = [profile_benchmark(b).misses_per_kilo_instruction
+              for b in w.benchmarks]
+    fewest = min(range(w.num_threads), key=lambda t: (misses[t], t))
+    for name in HOMOGENEOUS_CONFIG_NAMES + HETEROGENEOUS_CONFIG_NAMES:
+        cfg = get_config(name)
+        if w.num_threads > cfg.total_contexts:
+            continue
+        m = heuristic_mapping(cfg, misses)
+        width = [cfg.pipelines[p].width for p in m]
+        assert mapping_contexts_ok(cfg, m), name
+        for a in range(w.num_threads):
+            for b in range(w.num_threads):
+                if misses[a] < misses[b]:
+                    assert width[a] >= width[b], (name, a, b)
+        if cfg.total_contexts > w.num_threads:
+            assert [t for t, p in enumerate(m) if p == 0] == [fewest], name
 
 
 # ------------------------------------------ scan-once equivalence

@@ -73,57 +73,10 @@ def test_figures_report_json(tmp_path, capsys):
     import json
 
     payload = json.loads(out_path.read_text())
-    for key in ("jobs", "attempts", "retries", "enqueued", "lease_reclaims",
-                "speculations", "local_fallbacks"):
+    for key in ("jobs", "attempts", "retries", "timeouts", "pool_respawns",
+                "inline_fallbacks", "cache_fallbacks"):
         assert key in payload
     assert payload["jobs"] > 0
-
-
-def test_worker_cli_serves_queue(tmp_path):
-    """`repro worker` end to end in-process-of-the-CLI: enqueue a task,
-    run a bounded worker over it, confirm the published result."""
-    from repro.runner import JobQueue, SimJob
-
-    q = JobQueue(tmp_path / "q")
-    q.write_config(None, None)
-    job = SimJob("M8", ("gzip", "twolf"), (0, 0), 400)
-    q.enqueue("b1-j0000", job)
-    import gc
-
-    try:
-        rc = main(
-            ["worker", "--queue", str(tmp_path / "q"),
-             "--worker-id", "cliw", "--max-tasks", "1", "--idle-exit", "5"]
-        )
-    finally:
-        # Undo the worker's process setup (gc off + frozen) — this
-        # process is a shared test session, not a dedicated worker.
-        gc.unfreeze()
-        gc.enable()
-    assert rc == 0
-    record = q.load_result("b1-j0000")
-    assert record is not None
-    assert record["worker"] == "cliw"
-    assert record["result"] == job.execute()
-
-
-def test_worker_lease_ttl_defaults_to_the_front_end_setting(tmp_path,
-                                                            monkeypatch):
-    """`repro worker` and the front end read one REPRO_LEASE_TTL; the
-    flag still wins."""
-    from repro.runner.distributed import worker as worker_mod
-
-    built = []
-    monkeypatch.setattr(worker_mod.Worker, "run",
-                        lambda self: built.append(self) or 0)
-    monkeypatch.setenv("REPRO_LEASE_TTL", "7.5")
-    queue = ["worker", "--queue", str(tmp_path / "q")]
-    assert worker_mod.run_worker(build_parser().parse_args(queue)) == 0
-    assert built[-1].lease_ttl == 7.5
-    assert built[-1].heartbeat_interval == 2.5
-    args = build_parser().parse_args(queue + ["--lease-ttl", "3"])
-    assert worker_mod.run_worker(args) == 0
-    assert built[-1].lease_ttl == 3.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,8 +89,8 @@ def test_worker_lease_ttl_defaults_to_the_front_end_setting(tmp_path,
     ["figures", "--job-timeout", "-1"],
     ["figures", "--max-attempts", "0"],
     ["figures", "--bundles", "2"],
-    ["worker", "--queue", "q", "--lease-ttl", "0"],
-    ["worker", "--queue", "q", "--heartbeat", "nan"],
+    ["figures", "--queue", "q"],
+    ["serve", "--queue", "q"],
     ["serve", "--jobs", "0"],
     ["serve", "--max-queue", "0"],
     ["serve", "--progress-interval", "-1"],

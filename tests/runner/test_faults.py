@@ -307,62 +307,45 @@ def test_chaos_sweep_is_bit_identical_to_fault_free(
     assert fresh.hits == len(JOBS) and fresh.corrupt_fallbacks == 0
 
 
-# ------------------------------------------------------------- scoped rules
+# ------------------------------------------------------------ rule validation
 
 
-def test_fault_rule_scope_parsing_and_validation():
-    rule = FaultRule.from_dict(
-        {"op": "stale-lease", "scope": "worker", "hang_seconds": 1.5}
-    )
-    assert rule.op == "stale_lease"  # dash form normalized
-    assert rule.scope == "worker"
-    with pytest.raises(ValueError, match="scope"):
-        FaultRule(match="", op="raise", scope="mars")
+def test_fault_rule_validation():
     with pytest.raises(ValueError, match="fault op"):
         FaultRule(match="", op="segfault")
+    with pytest.raises(ValueError, match="fault op"):
+        FaultRule.from_dict({"op": "stale_lease"})
 
 
-def test_out_of_scope_rule_neither_fires_nor_consumes_ordinal(
-    monkeypatch, tmp_path
-):
-    """A worker-scoped rule is invisible to pool executions: no fault,
-    and no ordinal burned (the same plan must fire identically however
-    many pool executions happen first)."""
+def test_misspelt_rule_key_is_rejected_by_name():
+    """A misspelt key such as ``execution`` must not fall back to the
+    default ordinal and fire on execution 1 instead of 2."""
+    typo = [{"match": "mcf", "op": "raise", "execution": [2]}]
+    with pytest.raises(ValueError, match="'execution'"):
+        load_fault_plan(json.dumps(typo))
+
+
+@pytest.mark.parametrize("rule", [
+    {"op": "raise", "executions": ["first"]},
+    {"op": "hang", "hang_seconds": "forever"},
+    {"op": "die", "exit_code": "seventeen"},
+], ids=["executions", "hang_seconds", "exit_code"])
+def test_garbled_rule_value_fails_at_load(rule):
+    """A value of the wrong kind stops the plan when it is parsed, not
+    mid-sweep inside a worker."""
+    with pytest.raises(ValueError):
+        load_fault_plan(json.dumps([dict(rule, match="")]))
+
+
+def test_stale_scope_key_fails_loudly_in_the_pool(monkeypatch, tmp_path):
+    """A rule with a ``scope`` key (not a rule field) must not fire in a
+    pool worker: the plan raises before any ordinal is claimed."""
     state = tmp_path / "state"
     monkeypatch.setenv("REPRO_FAULT_STATE", str(state))
     monkeypatch.setenv(
         "REPRO_FAULT_PLAN",
-        json.dumps([{"match": "", "op": "raise", "executions": [1],
-                     "scope": "worker"}]),
+        json.dumps([{"match": "", "op": "raise", "scope": "worker"}]),
     )
-    from repro.runner.faults import maybe_inject_fault
-
-    job = JOBS[0]
-    for _ in range(3):  # pool context: never fires, never claims
-        assert maybe_inject_fault(job, context="pool") is None
-    assert not list(state.iterdir())  # no ordinals consumed
-    with pytest.raises(InjectedFault):
-        maybe_inject_fault(job, context="worker")  # still execution #1
-
-
-def test_stale_lease_rule_returned_to_worker_context_only(
-    monkeypatch, tmp_path
-):
-    state = tmp_path / "state"
-    monkeypatch.setenv("REPRO_FAULT_STATE", str(state))
-    monkeypatch.setenv(
-        "REPRO_FAULT_PLAN",
-        json.dumps([{"match": "", "op": "stale_lease",
-                     "executions": [1, 2], "hang_seconds": 0.5}]),
-    )
-    from repro.runner.faults import maybe_inject_fault
-
-    job = JOBS[0]
-    # Pool context: stale_lease is meaningless (no lease) — skipped
-    # entirely even though the rule's scope is "any".
-    assert maybe_inject_fault(job, context="pool") is None
-    assert not list(state.iterdir())
-    directive = maybe_inject_fault(job, context="worker")
-    assert directive is not None
-    assert directive.op == "stale_lease"
-    assert directive.hang_seconds == 0.5
+    with pytest.raises(ValueError, match="'scope'"):
+        maybe_inject_fault(JOBS[0])
+    assert not state.exists()  # no ordinal consumed

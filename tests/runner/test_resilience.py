@@ -481,25 +481,32 @@ def test_zero_jitter_keeps_exact_legacy_schedule():
     assert policy.backoff_for(5) == pytest.approx(1.0)  # clamped
 
 
-def test_run_report_distributed_counters_round_trip():
-    a = RunReport(jobs=2, enqueued=2, lease_reclaims=1, speculations=1)
-    b = RunReport(jobs=1, local_fallbacks=1)
+def test_run_report_counters_round_trip():
+    a = RunReport(jobs=2, attempts=4, retries=2, timeouts=1,
+                  wall_seconds=1.25, job_seconds=[0.5])
+    b = RunReport(jobs=1, attempts=1, pool_respawns=1, inline_fallbacks=1,
+                  cache_fallbacks=2, failures=1, job_seconds=[0.25])
     a.merge(b)
-    assert (a.enqueued, a.lease_reclaims, a.speculations,
-            a.local_fallbacks) == (2, 1, 1, 1)
+    assert (a.jobs, a.attempts, a.retries, a.timeouts, a.pool_respawns,
+            a.inline_fallbacks, a.cache_fallbacks,
+            a.failures) == (3, 5, 2, 1, 1, 1, 2, 1)
     assert a.eventful
     d = a.as_dict()
-    assert d["lease_reclaims"] == 1 and d["speculations"] == 1
-    text = a.describe()
-    assert "1 lease reclaims" in text
-    assert "1 speculative re-dispatches" in text
-    assert "1 local fallbacks" in text
-    # Purely-local reports keep the legacy one-liner.
-    assert "lease" not in RunReport(jobs=5, attempts=5).describe()
+    assert (d["retries"], d["timeouts"], d["pool_respawns"],
+            d["cache_fallbacks"]) == (2, 1, 1, 2)
+    assert d["wall_seconds"] == 1.25 and d["job_seconds_total"] == 0.75
+    assert a.describe() == (
+        "3 jobs / 5 attempts in 1.2s — 2 retries, 1 timeouts, 1 pool "
+        "respawns, 1 inline fallbacks, 2 cache fallbacks, 1 hard failures"
+    )
+    # A fault-free report is not eventful and still describes itself.
+    quiet = RunReport(jobs=5, attempts=5)
+    assert not quiet.eventful
+    assert quiet.describe().startswith("5 jobs / 5 attempts in 0.0s — 0 retries")
 
 
 #: RunReport fields that size a run; every other field counts an event.
-_VOLUME = {"jobs", "batches", "attempts", "enqueued", "wall_seconds", "job_seconds"}
+_VOLUME = {"jobs", "batches", "attempts", "wall_seconds", "job_seconds"}
 
 
 @pytest.mark.parametrize("f", dataclasses.fields(RunReport), ids=lambda f: f.name)
@@ -519,3 +526,24 @@ def test_run_report_is_derived_from_its_fields(f):
         assert getattr(a, f.name) == 5
         assert a.as_dict()[f.name] == 5
     assert a.eventful == (f.name not in _VOLUME)
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunReport), ids=lambda f: f.name)
+def test_events_only_keeps_events_and_restores_volume(f):
+    """The runner's own prep work counts its recovery events but no jobs,
+    batches, attempts or timings: inside ``events_only`` every field
+    moves, and on exit only the event counters keep what they gained."""
+    before = RunReport(jobs=4, batches=1, attempts=5, retries=1,
+                       wall_seconds=2.0, job_seconds=[0.5])
+    report = dataclasses.replace(before, job_seconds=list(before.job_seconds))
+    with report.events_only() as inner:
+        assert inner is report
+        if f.name == "job_seconds":
+            report.job_seconds.append(0.25)
+        else:
+            setattr(report, f.name, getattr(report, f.name) + 3)
+    if f.name in _VOLUME:
+        assert report == before
+    else:
+        assert getattr(report, f.name) == getattr(before, f.name) + 3
+        assert report.job_seconds == [0.5] and report.jobs == 4

@@ -1,11 +1,13 @@
 """ResultCache: corruption falls back to recompute, cache keys track the
 packed-trace format version (a format bump must orphan every cached
 result, because packed traces feed the simulations) and stay
-byte-stable, entries keep the sharded on-disk layout, and stats/prune
-walk it."""
+byte-stable, entries keep the sharded on-disk layout (a writer killed
+mid-put leaves a miss, not a torn entry), and stats/prune walk it."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -222,6 +224,40 @@ def test_walk_skips_temp_files_and_foreign_entries(tmp_path, sim_job):
     assert (shard / "abc123.tmp").exists()
     assert (tmp_path / "notes" / "x.json").exists()
     assert (tmp_path / "README.json").exists()
+
+
+_KILLED_CACHE_PUT = """
+import os, sys
+
+def die_before_rename(src, dst):
+    os._exit(9)           # killed in the crash window: tmp written, no rename
+os.replace = die_before_rename
+
+from repro.runner import ResultCache, SimJob
+job = SimJob("M8", ("gzip", "twolf"), (0, 0), 400)
+cache = ResultCache(sys.argv[1])
+cache.put(job, job.execute())
+"""
+
+
+def test_cache_put_killed_between_write_and_rename(tmp_path):
+    """A process killed mid-``ResultCache.put`` leaves a miss, never a
+    torn entry: the next reader recomputes and repairs."""
+    job = SimJob("M8", ("gzip", "twolf"), (0, 0), 400)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_CACHE_PUT, str(tmp_path / "c")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 9
+    cache = ResultCache(tmp_path / "c")
+    assert cache.get(job) is None
+    assert cache.corrupt_fallbacks == 0  # a clean miss, not corruption
+    shard = cache.path_for(cache.job_key(job)).parent
+    assert list(shard.glob("*.tmp"))     # the orphan the rename never ran on
+    result = job.execute()
+    cache.put(job, result)               # repair path
+    assert cache.get(job) == result
 
 
 def test_get_returns_detached_results(tmp_path, sim_job):

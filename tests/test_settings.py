@@ -10,18 +10,17 @@ resolve the environment through :class:`~repro.settings.Settings` only
 import ast
 import re
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
-from repro.runner import BatchRunner, JobQueue, RetryPolicy
+from repro.runner import BatchRunner, RetryPolicy
 from repro.runner.batch import resolve_workers
-from repro.runner.distributed import DistributedExecutor
 from repro.service.server import ReproService
 from repro.settings import (
     KINDS,
     Settings,
-    fraction,
     non_negative_float,
     non_negative_int,
     path,
@@ -37,7 +36,6 @@ VALID = [
     ("REPRO_WORKERS", "5", 5),
     ("REPRO_RESULT_CACHE", "/tmp/results", "/tmp/results"),
     ("REPRO_TRACE_CACHE", "store", "store"),
-    ("REPRO_DIST_QUEUE", "q", "q"),
     ("REPRO_MEM_CACHE_MB", "2", 2.0),
     ("REPRO_SIM_SCALE", "0.25", 0.25),
     ("REPRO_MAX_MAPPINGS", "6", 6),
@@ -46,11 +44,6 @@ VALID = [
     ("REPRO_RETRY_BACKOFF", "0.25", 0.25),
     ("REPRO_RETRY_JITTER", "0.3", 0.3),
     ("REPRO_MAX_POOL_RESPAWNS", "0", 0),
-    ("REPRO_DIST_GRACE", "0.3", 0.3),
-    ("REPRO_LEASE_TTL", "2.0", 2.0),
-    ("REPRO_SPEC_QUANTILE", "0.25", 0.25),
-    ("REPRO_SPEC_FACTOR", "1.0", 1.0),
-    ("REPRO_DIST_STALL", "60", 60.0),
 ]
 
 #: one bad value per way a kind of value can be wrong
@@ -63,8 +56,6 @@ BAD = {
                      "zero": "0", "negative": "-0.5"},
     non_negative_float: {"malformed": "abc", "nan": "nan", "inf": "inf",
                          "-inf": "-inf", "negative": "-3"},
-    fraction: {"malformed": "half", "nan": "nan", "negative": "-0.1",
-               "above one": "1.5"},
     path: {},
 }
 
@@ -80,7 +71,8 @@ def _bad_rows():
 
 def test_rows_cover_every_variable_and_kind():
     assert [name for name, _, _ in VALID] == VARIABLES
-    assert len(VARIABLES) == 17
+    assert len(VARIABLES) == 11
+    assert list(READERS) == VARIABLES
     assert BAD.keys() == KINDS.keys()
 
 
@@ -141,33 +133,79 @@ def _runner(tmp_path):
     return BatchRunner(workers=1, trace_store=False)
 
 
-def _executor(tmp_path):
-    return DistributedExecutor(JobQueue(tmp_path / "q"))
-
-
 def _service(tmp_path):
     return ReproService(runner=None)
 
 
 @pytest.mark.parametrize("name,raw,build", [
     # Each of these used to be accepted: a nan deadline never expires,
-    # an inf jitter makes time.sleep raise OverflowError, a nan lease
-    # and a negative grace ran as given, and a garbled frame budget
-    # fell back to 64 MB with a warning.
+    # an inf jitter makes time.sleep raise OverflowError, and a garbled
+    # frame budget fell back to 64 MB with a warning.
     ("REPRO_JOB_TIMEOUT", "nan", _runner),
     ("REPRO_RETRY_JITTER", "inf", _runner),
-    ("REPRO_LEASE_TTL", "nan", _executor),
-    ("REPRO_DIST_GRACE", "-3", _executor),
     ("REPRO_MEM_CACHE_MB", "abc", _service),
     # ... and the ones that warned or clamped before.
     ("REPRO_MAX_ATTEMPTS", "lots", _runner),
     ("REPRO_WORKERS", "-4", _runner),
-    ("REPRO_SPEC_QUANTILE", "2", _executor),
 ])
 def test_readers_raise_on_bad_values(monkeypatch, tmp_path, name, raw, build):
     monkeypatch.setenv(name, raw)
     with pytest.raises(ValueError, match=name):
         build(tmp_path)
+
+
+def _scale():
+    from repro.experiments.scale import default_scale
+
+    return default_scale()
+
+
+def _built(attr, workers=1, trace_store=False):
+    """``attr`` of a runner built from the environment (closed again)."""
+    with BatchRunner(workers=workers, trace_store=trace_store) as runner:
+        return attrgetter(attr)(runner)
+
+
+#: variable -> what its reader made of it (the reader builds from the env)
+READERS = {
+    "REPRO_WORKERS": lambda tmp: _built("workers", workers=None),
+    "REPRO_RESULT_CACHE": lambda tmp: _built("cache_dir"),
+    "REPRO_TRACE_CACHE": lambda tmp: _built("store_dir", trace_store=None),
+    "REPRO_MEM_CACHE_MB": lambda tmp: _service(tmp).frame_budget_bytes,
+    "REPRO_SIM_SCALE": lambda tmp: _scale().commit_target,
+    "REPRO_MAX_MAPPINGS": lambda tmp: _scale().max_mappings,
+    "REPRO_JOB_TIMEOUT": lambda tmp: _built("policy.timeout"),
+    "REPRO_MAX_ATTEMPTS": lambda tmp: _built("policy.max_attempts"),
+    "REPRO_RETRY_BACKOFF": lambda tmp: _built("policy.backoff_base"),
+    "REPRO_RETRY_JITTER": lambda tmp: _built("policy.jitter"),
+    "REPRO_MAX_POOL_RESPAWNS": lambda tmp: _built("policy.max_pool_respawns"),
+}
+
+#: what each reader holds for the VALID row's value, where that is not
+#: the parsed value itself (paths are redirected under tmp_path)
+DERIVED = {
+    "REPRO_RESULT_CACHE": lambda tmp: str(tmp / "results"),
+    "REPRO_TRACE_CACHE": lambda tmp: str(tmp / "store"),
+    "REPRO_MEM_CACHE_MB": lambda tmp: 2 * 1024 * 1024,
+    "REPRO_SIM_SCALE": lambda tmp: 2_000,
+}
+
+
+@pytest.mark.parametrize("name,raw,expected", VALID)
+def test_each_variable_reaches_its_reader(monkeypatch, tmp_path, name, raw,
+                                          expected):
+    """Setting a variable changes what its reader builds, to the value
+    the README's Settings table promises."""
+    if name in DERIVED:
+        expected = DERIVED[name](tmp_path)
+    if FIELDS[name].metadata["parse"] is path:
+        raw = expected
+    # unset REPRO_WORKERS falls back to the cpu count: pin it below 5
+    monkeypatch.setattr("repro.runner.batch.os.cpu_count", lambda: 1)
+    monkeypatch.delenv(name, raising=False)
+    unset = READERS[name](tmp_path)
+    monkeypatch.setenv(name, raw)
+    assert READERS[name](tmp_path) == expected != unset
 
 
 # -- the guard: settings.py is the only REPRO_* reader ------------------------
@@ -210,7 +248,7 @@ def _env_reads(tree: ast.AST) -> list:
 @pytest.mark.parametrize("source,flagged", [
     ('import os\nos.environ.get("REPRO_WORKERS")', True),
     ('import os\nos.getenv("REPRO_SIM_SCALE", "1")', True),
-    ('import os\nx = os.environ["REPRO_DIST_QUEUE"]', True),
+    ('import os\nx = os.environ["REPRO_TRACE_CACHE"]', True),
     ('import os\n"REPRO_X" in os.environ', True),
     ('import os\ndef f(name):\n    return os.environ.get(name)', True),
     ('import os\nos.environ.get("HOME")', False),

@@ -94,3 +94,23 @@ def test_store_served_fetch_view_never_materializes(trace_store):
         ) or served.entry_block(i >> FETCH_SHIFT)
         assert blk[i & FETCH_MASK] == reference[i]
     assert served._entries is None  # lazy backing held throughout
+
+
+def test_saved_generated_trace_is_packed_once(trace_store, monkeypatch):
+    """Generating under a saving store packs the trace once: the saved
+    packed form backs ``warm_sequences()`` instead of a second pack."""
+    from repro.trace.packed import PackedTrace
+
+    real = PackedTrace.from_entries.__func__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args[0])
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PackedTrace, "from_entries", classmethod(counting))
+    t = trace_for("mcf", 4096)
+    assert t.packed is not None and t._entries is not None
+    t.warm_sequences()
+    assert calls == ["mcf"]
+    assert trace_store.contains("mcf", 4096, 0, t.junk_length)

@@ -14,7 +14,7 @@ from repro.isa.opcodes import (
     OP_STORE,
 )
 from repro.isa.registers import REG_NONE
-from repro.trace.benchmarks import get_benchmark
+from repro.trace.benchmarks import BENCHMARK_NAMES, get_benchmark
 from repro.trace.synthetic import (
     StaticProgram,
     TERM_BRANCH,
@@ -153,3 +153,26 @@ def test_addresses_within_working_set(gzip_trace):
     for e in gzip_trace:
         if e[0] in (OP_LOAD, OP_STORE):
             assert DATA_BASE <= e[4] < hi
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_every_benchmark_trace_tracks_its_profile(name):
+    """Each benchmark's generated stream carries its profiled instruction
+    mix (mul and fp only where profiled) and touches only its working
+    set: the ordering the workload classes rest on comes from here."""
+    from repro.trace.synthetic import DATA_BASE
+
+    prof = get_benchmark(name)
+    trace = generate_trace(prof, 12_000)
+    n = len(trace)
+    counts = Counter(e[0] for e in trace)
+    branch = counts[OP_BRANCH] + counts[OP_CALL] + counts[OP_RETURN]
+    assert abs(counts[OP_LOAD] / n - prof.load_frac) < 0.03
+    assert abs(counts[OP_STORE] / n - prof.store_frac) < 0.02
+    assert abs(branch / n - prof.branch_frac) < 0.04
+    assert abs(counts[OP_MUL] / n - prof.mul_frac) < 0.01
+    assert abs(counts[OP_FP] / n - prof.fp_frac) < 0.01
+    assert (counts[OP_FP] > 0) == (prof.fp_frac > 0)
+    hi = DATA_BASE + prof.working_set_bytes
+    assert all(DATA_BASE <= e[4] < hi for e in trace
+               if e[0] in (OP_LOAD, OP_STORE))

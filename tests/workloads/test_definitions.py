@@ -7,6 +7,7 @@ from repro.workloads.definitions import (
     FOUR_THREAD,
     SIX_THREAD,
     TWO_THREAD,
+    WORKLOAD_NAMES,
     WORKLOADS,
     Workload,
     get_workload,
@@ -90,3 +91,17 @@ def test_validation():
 
 def test_str():
     assert str(get_workload("2W1")) == "2W1(eon,gcc)"
+
+
+#: the benchmark classes each workload class is built from (§4)
+_MEMBER_CLASSES = {"ILP": {"ILP"}, "MEM": {"MEM"}, "MIX": {"ILP", "MEM"}}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_class_follows_its_benchmarks(name):
+    """An ILP workload runs only high-ILP benchmarks, a MEM workload only
+    memory-bound ones and a MIX workload both; no benchmark runs twice."""
+    w = get_workload(name)
+    members = {BENCHMARKS[b].workload_class for b in w.benchmarks}
+    assert members == _MEMBER_CLASSES[w.workload_class]
+    assert len(set(w.benchmarks)) == w.num_threads
