@@ -38,7 +38,8 @@ from repro.core.simulation import SimResult
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.metrics.tables import format_table
 from repro.runner import BatchRunner
-from repro.runner.continuation import ContinuationRun, run_bundled
+from repro.runner.continuation import run_bundled
+from repro.runner.jobs import SimJob
 from repro.runner.screening import ScreenJob
 from repro.trace.profiling import profile_benchmark
 from repro.workloads.definitions import get_workload
@@ -104,7 +105,7 @@ def ablation_fetch_policy(
         results = run_bundled(
             rn,
             [
-                ContinuationRun(cfg, w.benchmarks, mapping, scale.commit_target)
+                SimJob(cfg, w.benchmarks, mapping, scale.commit_target)
                 for cfg in variants
             ],
         )
@@ -136,7 +137,7 @@ def ablation_register_latency(
         results = run_bundled(
             rn,
             [
-                ContinuationRun(cfg, w.benchmarks, mapping, scale.commit_target)
+                SimJob(cfg, w.benchmarks, mapping, scale.commit_target)
                 for cfg in variants
             ],
         )
@@ -181,7 +182,7 @@ def ablation_fetch_buffer(
         results = run_bundled(
             rn,
             [
-                ContinuationRun(cfg, w.benchmarks, mapping, scale.commit_target)
+                SimJob(cfg, w.benchmarks, mapping, scale.commit_target)
                 for cfg in variants
             ],
         )
@@ -240,8 +241,8 @@ def ablation_mapping_policy(
             screens = run_bundled(
                 rn,
                 [
-                    ContinuationRun(config_name, tuple(w.benchmarks), m,
-                                    scale.screen_target)
+                    SimJob(config_name, tuple(w.benchmarks), m,
+                           scale.screen_target)
                     for m in candidates
                 ],
             )
@@ -261,8 +262,8 @@ def ablation_mapping_policy(
                 run_bundled(
                     rn,
                     [
-                        ContinuationRun(config_name, tuple(w.benchmarks), m,
-                                        scale.commit_target)
+                        SimJob(config_name, tuple(w.benchmarks), m,
+                               scale.commit_target)
                         for m in unique_maps
                     ],
                 ),

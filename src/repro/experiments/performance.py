@@ -84,12 +84,8 @@ from repro.experiments.scale import ExperimentScale, default_scale
 from repro.metrics.stats import harmonic_mean
 from repro.metrics.tables import format_grouped_bars
 from repro.runner import BatchRunner
-from repro.runner.continuation import (
-    ContinuationRun,
-    plan_bundles,
-    run_bundled,
-    unbundle_results,
-)
+from repro.runner.continuation import plan_bundles, run_bundled, unbundle_results
+from repro.runner.jobs import SimJob
 from repro.runner.screening import ScreenJob
 from repro.trace.profiling import ensure_profiles, profile_benchmark
 from repro.workloads.definitions import WORKLOADS, Workload, get_workload
@@ -183,7 +179,7 @@ class _PairPlan:
     #: the only mapping (monolithic / degenerate pairs); exclusive with screen
     single_map: Optional[Tuple[int, ...]] = None
     heur_map: Optional[Tuple[int, ...]] = None
-    #: exact mode: candidates screened as bundled ContinuationRuns
+    #: exact mode: candidates screened as bundled SimJobs
     candidates: Optional[List[Tuple[int, ...]]] = None
     #: screening mode: the pair's checkpointed halving ladder
     screen_job: Optional[ScreenJob] = None
@@ -260,15 +256,16 @@ def _plan_pair(config_name: str, workload: Workload, scale: ExperimentScale,
     )
 
 
-def _result_key(run: ContinuationRun) -> tuple:
+def _result_key(run: SimJob) -> tuple:
     """Everything a run's result depends on except its labels (config
     name and mapping): the machine it simulates, the benchmarks, the
-    commit target, the resolved trace length and the seed."""
+    commit target, the resolved trace length, the seed, warm-up and the
+    cycle cap."""
     config = get_config(run.config) if isinstance(run.config, str) else run.config
     length = (run.trace_length if run.trace_length is not None
               else default_trace_length(run.commit_target))
     return (machine_key(config, run.mapping), run.benchmarks,
-            run.commit_target, length, run.seed)
+            run.commit_target, length, run.seed, run.warmup, run.max_cycles)
 
 
 class _Machines:
@@ -279,19 +276,19 @@ class _Machines:
         self.cache = runner.cache
         self.results: Dict[tuple, SimResult] = {}
 
-    def plan(self, runs: Sequence[ContinuationRun]
-             ) -> Tuple[List[tuple], Dict[tuple, ContinuationRun]]:
+    def plan(self, runs: Sequence[SimJob]
+             ) -> Tuple[List[tuple], Dict[tuple, SimJob]]:
         """The key of every run, and the runs to simulate: the first run
         of each key this sweep has not seen yet, in run order."""
         keys = [_result_key(r) for r in runs]
-        new: Dict[tuple, ContinuationRun] = {}
+        new: Dict[tuple, SimJob] = {}
         for k, r in zip(keys, runs):
             if k not in self.results and k not in new:
                 new[k] = r
         return keys, new
 
-    def publish(self, runs: Sequence[ContinuationRun], keys: Sequence[tuple],
-                new: Dict[tuple, ContinuationRun],
+    def publish(self, runs: Sequence[SimJob], keys: Sequence[tuple],
+                new: Dict[tuple, SimJob],
                 simulated: Sequence[SimResult]) -> List[SimResult]:
         """Record ``simulated`` (one result per ``new`` run) and return one
         result per run: a run that was not simulated gets its
@@ -306,7 +303,7 @@ class _Machines:
                 result = replace(result, config_name=name, mapping=run.mapping,
                                  stats=dict(result.stats))
                 if self.cache is not None:
-                    self.cache.put(run.as_sim_job(), result)
+                    self.cache.put(run, result)
             out.append(result)
         return out
 
@@ -335,8 +332,8 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
     bundled exactly like full-length continuations, so the screen batch
     is at most ``runner.workers`` jobs (plus the screening-mode ladders)
     instead of one job per candidate mapping — with bit-identical
-    results and unchanged per-run cache identities
-    (:meth:`~repro.runner.continuation.ContinuationRun.as_sim_job`).
+    results, each run cached under its own
+    :class:`~repro.runner.jobs.SimJob` identity.
     """
     n_bundles = runner.workers
     machines = _Machines(runner)
@@ -346,23 +343,19 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
     # the single-mapping pairs' full runs; ``owners[i]`` describes
     # ``runs[i]`` and ``unbundle_results`` restores run order, so the
     # bookkeeping is index-aligned regardless of bundling.
-    runs: List[ContinuationRun] = []
+    runs: List[SimJob] = []
     owners: List[Tuple[str, _PairPlan, Optional[Tuple[int, ...]]]] = []
     ladder_jobs: List[ScreenJob] = []
     ladder_plans: List[_PairPlan] = []
     for p in plans:
         if p.single_map is not None:
-            runs.append(
-                ContinuationRun(p.config_name, p.workload.benchmarks,
-                                p.single_map, scale.commit_target)
-            )
+            runs.append(SimJob(p.config_name, p.workload.benchmarks,
+                               p.single_map, scale.commit_target))
             owners.append(("single", p, None))
         elif p.candidates is not None:
             for m in p.candidates:
-                runs.append(
-                    ContinuationRun(p.config_name, p.workload.benchmarks, m,
-                                    scale.screen_target)
-                )
+                runs.append(SimJob(p.config_name, p.workload.benchmarks, m,
+                                   scale.screen_target))
                 owners.append(("screen", p, m))
         elif p.screen_job is not None:
             ladder_jobs.append(p.screen_job)
@@ -399,7 +392,7 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
     # Screening-mode ladders already folded the best/worst/heuristic full
     # runs; exact mode resumes all three (deduplicated) here, packed into
     # at most ``n_bundles`` worker jobs.
-    full_runs: List[ContinuationRun] = []
+    full_runs: List[SimJob] = []
     full_owners: List[Tuple[_PairPlan, Tuple[int, ...]]] = []
     for p in plans:
         if p.best_map is None:
@@ -410,10 +403,8 @@ def _execute_plans(plans: Sequence[_PairPlan], scale: ExperimentScale,
         for m in unique_maps:
             if m in p.full_results:
                 continue
-            full_runs.append(
-                ContinuationRun(p.config_name, p.workload.benchmarks, m,
-                                scale.commit_target)
-            )
+            full_runs.append(SimJob(p.config_name, p.workload.benchmarks, m,
+                                    scale.commit_target))
             full_owners.append((p, m))
     if full_runs:
         keys, new = machines.plan(full_runs)

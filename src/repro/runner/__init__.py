@@ -59,12 +59,7 @@ of fewer than two jobs) runs inline with no subprocess overhead.
 
 from repro.runner.batch import BatchRunner
 from repro.runner.cache import ResultCache
-from repro.runner.continuation import (
-    ContinuationJob,
-    ContinuationRun,
-    plan_bundles,
-    run_bundled,
-)
+from repro.runner.continuation import ContinuationJob, plan_bundles, run_bundled
 from repro.runner.jobs import Job, SimJob, TraceUnit
 from repro.runner.resilience import (
     JobError,
@@ -83,7 +78,6 @@ __all__ = [
     "ResultCache",
     "HalvingScreen",
     "ContinuationJob",
-    "ContinuationRun",
     "plan_bundles",
     "run_bundled",
     "RetryPolicy",

@@ -418,7 +418,7 @@ class BatchRunner:
                 result, stats = self._execute_inline(job)
                 results.append(result)
                 report.attempts += 1
-                report.job_seconds.append(_time.monotonic() - j0)
+                report.record_job(_time.monotonic() - j0)
                 report.absorb_worker_stats(stats)
         finally:
             report.wall_seconds += _time.monotonic() - t0
@@ -483,9 +483,3 @@ class BatchRunner:
                 self._packed_triples.update(packs)
             if warms:
                 self._run_local(list(warms.values()))
-
-    def run_one(self, job):
-        """Execute a single job inline (cache-aware)."""
-        self.jobs_run += 1
-        with _stores_active(self.store_dir):
-            return job.execute(self.cache)

@@ -1,18 +1,16 @@
-"""The unified runner job protocol.
+"""The runner job protocol.
 
-Three job taxonomies grew side by side over the perf PRs — per-run
-:class:`SimJob`, checkpointed :class:`~repro.runner.screening.ScreenJob`
-ladders, and bundled
-:class:`~repro.runner.continuation.ContinuationJob` continuations — each
-with its own dispatch, caching and trace-prepack special case inside
-:class:`~repro.runner.batch.BatchRunner`. This module collapses them
-onto one :class:`Job` protocol, so the runner has exactly one
+Every job kind — per-run :class:`SimJob`, checkpointed
+:class:`~repro.runner.screening.ScreenJob` ladders and
+:class:`~repro.runner.continuation.ContinuationJob` bundles of SimJobs —
+implements one :class:`Job` protocol, so
+:class:`~repro.runner.batch.BatchRunner` has exactly one
 dispatch/cache/prepack path:
 
 ``heavy``
-    Scheduling hint: a heavy job (a whole screen ladder, a continuation
-    bundle) amortizes its dispatch overhead by construction, so the
-    runner parallelizes batches of heavy jobs at 2+ jobs instead of 3+.
+    Scheduling hint: a heavy job (a screen ladder, a bundle) amortizes
+    its dispatch overhead by construction, so the runner parallelizes
+    batches of heavy jobs at 2+ jobs instead of 3+.
 
 ``execute(cache=None)``
     Run the job in this process. A cache-aware job consults/populates
@@ -35,8 +33,8 @@ dispatch/cache/prepack path:
     themselves to the cache.
 
 :class:`SimJob` — one ``run_simulation`` call as data — lives here as
-the protocol's reference implementation; the screen and continuation
-jobs implement the same protocol in their own modules.
+the protocol's reference implementation; the screen ladder and the
+bundle implement the same protocol in their own modules.
 """
 
 from __future__ import annotations

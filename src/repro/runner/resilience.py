@@ -6,8 +6,8 @@ individually and tracks each future:
 
 * **per-job timeouts** — submissions are capped at the pool's worker
   count, so a job's deadline (assigned at submission, from its
-  :class:`RetryPolicy`; heavy jobs — screen ladders, continuation
-  bundles — get a proportionally larger budget) starts when the job
+  :class:`RetryPolicy`; heavy jobs — screen ladders, bundles — get
+  ``_HEAVY_TIMEOUT_FACTOR`` times the budget) starts when the job
   actually starts running, not when the batch was enqueued: queued jobs
   cannot burn their wall-clock budget waiting for a worker. A hung
   worker cannot be cancelled, so an expired deadline kills the pool's
@@ -16,8 +16,8 @@ individually and tracks each future:
   the kill counts against the pool-respawn budget like any other break.
   That whole-job retry is the local pool's only tail rescue.
 * **retry with exponential backoff** — failed or timed-out jobs are
-  re-submitted after ``backoff_base * backoff_factor**(attempt-1)``
-  seconds. Retries are free and safe because every job is a pure
+  re-submitted after ``backoff_base * 2**(attempt-1)`` seconds, at most
+  ``_BACKOFF_MAX``. Retries are free and safe because every job is a pure
   function of its ``cache_key_fields()`` identity (the idempotency
   contract of :mod:`repro.runner.jobs`), so a re-execution is
   bit-identical to the first.
@@ -44,16 +44,14 @@ they needed.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import logging
-import random
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -65,6 +63,15 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: retry ``n`` waits ``backoff_base * _BACKOFF_FACTOR**(n-1)`` seconds,
+#: clamped to ``_BACKOFF_MAX``
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 5.0
+
+#: a heavy job (``job.heavy``: a screen ladder, a bundle) gets this many
+#: times the per-job timeout
+_HEAVY_TIMEOUT_FACTOR = 4.0
 
 
 class JobError(RuntimeError):
@@ -83,30 +90,23 @@ class JobTimeoutError(JobError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Fault-handling knobs for one :class:`SupervisedExecutor`
-    (:meth:`repro.settings.Settings.retry_policy` builds the one the
-    ``REPRO_*`` environment describes).
+    """Fault-handling values for one :class:`SupervisedExecutor`; each
+    field is a ``REPRO_*`` setting, and
+    :meth:`repro.settings.Settings.retry_policy` builds the one the
+    environment describes.
 
     max_attempts:
         Executions a job may consume (first try included) before its
         failure propagates as :class:`JobError` / :class:`JobTimeoutError`.
-    backoff_base / backoff_factor / backoff_max:
-        Retry ``n`` waits ``backoff_base * backoff_factor**(n-1)``
-        seconds (clamped to ``backoff_max``) before resubmitting.
-    jitter:
-        Fractional de-synchronization of the backoff schedule: each
-        delay is scaled by a uniform draw from ``1 ± jitter/2``, so a
-        whole bundle failed by one event does not retry in lockstep
-        (the thundering-herd fix).  ``0`` (the default) keeps delays
-        exact; deterministic when the caller passes a seeded RNG to
-        :meth:`backoff_for`.
+    backoff_base:
+        Retry ``n`` waits ``backoff_base * 2**(n-1)`` seconds (at most
+        ``_BACKOFF_MAX``) before resubmitting.
     timeout:
         Per-job wall-clock budget in seconds, measured from submission
         — which coincides with the job starting, because the executor
-        caps in-flight submissions at the worker count. ``None``
+        caps in-flight submissions at the worker count. ``None`` or 0
         disables deadline tracking (a hung worker then blocks its batch
-        forever). Heavy jobs (``job.heavy`` — whole screen ladders,
-        continuation bundles) get ``timeout * heavy_timeout_factor``.
+        forever). Heavy jobs get ``timeout * _HEAVY_TIMEOUT_FACTOR``.
     max_pool_respawns:
         Pool breakages tolerated within one batch before the executor
         degrades to inline execution for the remaining jobs.
@@ -114,11 +114,7 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
-    jitter: float = 0.0
     timeout: Optional[float] = None
-    heavy_timeout_factor: float = 4.0
     max_pool_respawns: int = 3
 
     def timeout_for(self, job) -> Optional[float]:
@@ -126,29 +122,19 @@ class RetryPolicy:
         if self.timeout is None or self.timeout <= 0:
             return None
         if getattr(job, "heavy", False):
-            return self.timeout * self.heavy_timeout_factor
+            return self.timeout * _HEAVY_TIMEOUT_FACTOR
         return self.timeout
 
-    def backoff_for(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """Seconds to wait before retry number ``attempt`` (1-based).
-
-        With a nonzero ``jitter`` the clamped delay is scaled by a
-        uniform draw from ``[1 - jitter/2, 1 + jitter/2]`` so concurrent
-        retries spread out instead of stampeding; pass a seeded ``rng``
-        for a deterministic schedule (tests), else the module RNG is
-        used.
-        """
-        delay = self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
-        delay = min(self.backoff_max, max(0.0, delay))
-        if self.jitter > 0.0 and delay > 0.0:
-            draw = (rng if rng is not None else random).random()
-            delay *= 1.0 + self.jitter * (draw - 0.5)
-        return max(0.0, delay)
+    def backoff_for(self, attempt: int) -> float:
+        """Seconds to wait before retry number ``attempt`` (1-based)."""
+        delay = self.backoff_base * _BACKOFF_FACTOR ** max(0, attempt - 1)
+        return min(_BACKOFF_MAX, max(0.0, delay))
 
 
 #: RunReport fields that size a run rather than count a recovery event
 _VOLUME_FIELDS = frozenset(
-    {"jobs", "batches", "attempts", "wall_seconds", "job_seconds"}
+    {"jobs", "batches", "attempts", "wall_seconds", "job_seconds_total",
+     "job_seconds_max"}
 )
 
 
@@ -158,10 +144,12 @@ class RunReport:
 
     Counters accumulate across every batch executed through one
     :class:`~repro.runner.batch.BatchRunner` (inline and pooled alike);
-    ``job_seconds`` records the per-job wall clock of each completed job
-    (successful attempt only, submission to completion).  ``merge``,
-    ``as_dict`` and ``eventful`` walk the dataclass fields, so a new
-    counter needs no other edit.
+    ``job_seconds_total`` and ``job_seconds_max`` sum and bound the
+    per-job wall clock of each completed job (successful attempt only,
+    submission to completion), so a long-lived runner's report stays
+    the same size however many jobs it runs.  ``as_dict`` and
+    ``eventful`` walk the dataclass fields, so a new counter needs no
+    other edit.
     """
 
     jobs: int = 0
@@ -174,7 +162,8 @@ class RunReport:
     inline_fallbacks: int = 0
     cache_fallbacks: int = 0
     wall_seconds: float = 0.0
-    job_seconds: List[float] = field(default_factory=list)
+    job_seconds_total: float = 0.0
+    job_seconds_max: float = 0.0
 
     @property
     def eventful(self) -> bool:
@@ -192,12 +181,17 @@ class RunReport:
         ``batches``, ``attempts`` and the timings are restored on exit,
         while a prep retry, timeout, respawn or failure stays counted.
         """
-        saved = {name: copy.copy(getattr(self, name)) for name in _VOLUME_FIELDS}
+        saved = {name: getattr(self, name) for name in _VOLUME_FIELDS}
         try:
             yield self
         finally:
             for name, value in saved.items():
                 setattr(self, name, value)
+
+    def record_job(self, seconds: float) -> None:
+        """Account one completed job's wall clock."""
+        self.job_seconds_total += seconds
+        self.job_seconds_max = max(self.job_seconds_max, seconds)
 
     def absorb_worker_stats(self, stats: Optional[Dict[str, int]]) -> None:
         """Fold one worker execution's side-band counters (currently the
@@ -205,26 +199,11 @@ class RunReport:
         if stats:
             self.cache_fallbacks += int(stats.get("cache_fallbacks", 0))
 
-    def merge(self, other: "RunReport") -> None:
-        for f in fields(self):
-            mine = getattr(self, f.name)
-            if isinstance(mine, list):
-                mine.extend(getattr(other, f.name))
-            else:
-                setattr(self, f.name, mine + getattr(other, f.name))
-
     def as_dict(self) -> dict:
         out: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, list):
-                out[f"{f.name}_total"] = round(sum(value), 3)
-                out[f"{f.name}_max"] = round(max(value, default=0.0), 3)
-                out[f.name] = [round(s, 4) for s in value]
-            elif isinstance(value, float):
-                out[f.name] = round(value, 3)
-            else:
-                out[f.name] = value
+            out[f.name] = round(value, 3) if isinstance(value, float) else value
         return out
 
     def describe(self) -> str:
@@ -274,10 +253,10 @@ class SupervisedExecutor:
     ``inline_fn`` executes a job in the parent with the same return
     contract (the degraded path, which never touches the pool).
 
-    ``max_inflight`` caps concurrent submissions so jobs are handed to
-    the pool only when a worker can take them — a queued-but-unstarted
-    job must not burn its wall-clock budget waiting behind a long batch.
-    ``None`` (the default) reads the cap off the pool's ``_max_workers``.
+    ``max_inflight`` (the pool's worker count) caps concurrent
+    submissions so jobs are handed to the pool only when a worker can
+    take them — a queued-but-unstarted job must not burn its wall-clock
+    budget waiting behind a long batch.
     """
 
     def __init__(
@@ -285,19 +264,18 @@ class SupervisedExecutor:
         pool_factory: Callable[[], object],
         worker_fn: Callable,
         inline_fn: Callable,
+        max_inflight: int,
         policy: Optional[RetryPolicy] = None,
         report: Optional[RunReport] = None,
-        max_inflight: Optional[int] = None,
     ) -> None:
         self._pool_factory = pool_factory
         self._worker_fn = worker_fn
         self._inline_fn = inline_fn
         self.policy = policy if policy is not None else RetryPolicy()
         self.report = report if report is not None else RunReport()
-        self._max_inflight = max_inflight
+        self._max_inflight = max(1, max_inflight)
         self._pool = None
         self._inline_only = False
-        self._rng = random.Random()  # backoff jitter
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -385,10 +363,7 @@ class SupervisedExecutor:
             # eagerly-enqueued job would begin burning its wall-clock
             # budget (deadlines start at submission) while still waiting
             # for a worker, turning queue wait into spurious timeouts.
-            cap = self._max_inflight
-            if cap is None:
-                cap = getattr(pool, "_max_workers", None)
-            if cap is not None and len(st.inflight) >= max(1, cap):
+            if len(st.inflight) >= self._max_inflight:
                 return
             i, attempt = st.queue[0]
             job = jobs[i]
@@ -453,7 +428,7 @@ class SupervisedExecutor:
         st.results[fl.index] = result
         st.done[fl.index] = True
         st.remaining -= 1
-        self.report.job_seconds.append(time.monotonic() - fl.started)
+        self.report.record_job(time.monotonic() - fl.started)
         self.report.absorb_worker_stats(stats)
 
     def _record_failure(self, jobs, st: _BatchState, fl: _Flight, exc) -> None:
@@ -464,7 +439,7 @@ class SupervisedExecutor:
                 job=jobs[fl.index],
                 attempts=fl.attempt,
             ) from exc
-        delay = self.policy.backoff_for(fl.attempt, rng=self._rng)
+        delay = self.policy.backoff_for(fl.attempt)
         logger.warning(
             "job %d attempt %d failed (%s: %s); retrying in %.2fs",
             fl.index,
@@ -519,7 +494,7 @@ class SupervisedExecutor:
             )
             self._inline_only = True
             return
-        delay = self.policy.backoff_for(st.pool_breaks, rng=self._rng)
+        delay = self.policy.backoff_for(st.pool_breaks)
         logger.warning(
             "worker pool broke (break %d/%d); respawning in %.2fs",
             st.pool_breaks,
@@ -561,7 +536,7 @@ class SupervisedExecutor:
                     job=timed_out,
                     attempts=fl.attempt,
                 )
-            delay = self.policy.backoff_for(fl.attempt, rng=self._rng)
+            delay = self.policy.backoff_for(fl.attempt)
             logger.warning(
                 "job %d attempt %d exceeded its %.1fs budget; killing the "
                 "pool and retrying in %.2fs",
@@ -618,7 +593,7 @@ class SupervisedExecutor:
                             job=job,
                             attempts=attempt,
                         ) from exc
-                    delay = self.policy.backoff_for(attempt, rng=self._rng)
+                    delay = self.policy.backoff_for(attempt)
                     logger.warning(
                         "job %d attempt %d failed inline (%s: %s); "
                         "retrying in %.2fs",
@@ -635,6 +610,6 @@ class SupervisedExecutor:
                 st.results[i] = result
                 st.done[i] = True
                 st.remaining -= 1
-                self.report.job_seconds.append(time.monotonic() - t0)
+                self.report.record_job(time.monotonic() - t0)
                 self.report.absorb_worker_stats(stats)
                 break

@@ -18,8 +18,8 @@ traffic off the simulator:
    lookup still parses the spec into jobs and hashes the request key
    (:func:`~repro.service.protocol.request_key`, SHA-256), but a hit
    skips the per-job result-cache keys, the disk, the response
-   rendering and the dispatch-thread hop (sized by
-   ``REPRO_MEM_CACHE_MB``; counted as ``cache_served`` + ``frame_served``).
+   rendering and the dispatch-thread hop (``FRAME_BUDGET_BYTES``;
+   counted as ``cache_served`` + ``frame_served``).
 3. **shared result cache on disk** — a new flight first reads every job
    through the runner's :class:`~repro.runner.cache.ResultCache`; a
    fully warm request is served without touching the pool at all.
@@ -60,7 +60,6 @@ from repro.service.protocol import (
     response_payload,
     version_banner,
 )
-from repro.settings import Settings
 
 __all__ = [
     "Flight",
@@ -71,6 +70,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: budget of the rendered-frame LRU (tier 2 above), in bytes
+FRAME_BUDGET_BYTES = 64 * 1024 * 1024
+
 
 class ServiceError(Exception):
     """An admission/execution failure reported to the client as an error
@@ -159,11 +162,11 @@ class ReproService:
         beyond it are refused with :class:`ServiceBusy`.
     progress_interval:
         Seconds between progress heartbeats to waiting subscribers.
-    frame_cache_mb:
-        Budget for the rendered-frame LRU (tier 2 of the docstring's
-        ladder).  ``None`` reads ``REPRO_MEM_CACHE_MB`` (default 64 MB);
-        ``0`` disables the tier (every repeat request re-keys through
-        the result cache).
+
+    ``frame_budget_bytes`` bounds the rendered-frame LRU (tier 2 of the
+    module docstring's ladder); it starts at :data:`FRAME_BUDGET_BYTES`,
+    and ``0`` disables the tier (every repeat request re-keys through
+    the result cache).
     """
 
     def __init__(
@@ -172,15 +175,12 @@ class ReproService:
         cache=None,
         max_queue: int = 64,
         progress_interval: float = 1.0,
-        frame_cache_mb: Optional[float] = None,
     ) -> None:
         self.runner = runner
         self.cache = cache
         self.max_queue = max(1, int(max_queue))
         self.progress_interval = progress_interval
-        if frame_cache_mb is None:
-            frame_cache_mb = Settings.from_env().mem_cache_mb
-        self.frame_budget_bytes = int(max(0.0, float(frame_cache_mb)) * 1024 * 1024)
+        self.frame_budget_bytes = FRAME_BUDGET_BYTES
         self._frames: "OrderedDict[str, bytes]" = OrderedDict()
         self._frame_bytes = 0
         self._flights: Dict[str, Flight] = {}

@@ -4,10 +4,11 @@
 :class:`Settings`; each field names its variable and the parser for its
 kind of value.  Unset or empty means the field's default; any other
 value that is malformed, non-finite or out of range raises
-:class:`ValueError` naming the variable.  The CLI checks its numeric
-flags with the same parsers (argparse ``type=``).  A constructor
-argument of ``None`` still means "from the environment"; its resolution
-goes through here.  The test-only fault-injection protocol
+:class:`ValueError` naming the variable, and so does any other
+``REPRO_*`` name (a retired or misspelt setting).  The CLI checks its
+numeric flags with the same parsers (argparse ``type=``).  A
+constructor argument of ``None`` still means "from the environment";
+its resolution goes through here.  The test-only fault-injection protocol
 (``REPRO_FAULT_PLAN`` / ``REPRO_FAULT_STATE``) is not a setting:
 :mod:`repro.runner.faults` re-reads it in every worker and validates it.
 """
@@ -24,6 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["KINDS", "Settings", "non_negative_float", "non_negative_int",
            "path", "positive_float", "positive_int"]
+
+#: the fault-injection protocol's variables, read by repro.runner.faults
+_NOT_SETTINGS = frozenset({"REPRO_FAULT_PLAN", "REPRO_FAULT_STATE"})
 
 
 def positive_int(text: str) -> int:
@@ -81,21 +85,25 @@ class Settings:
     workers: Optional[int] = _var("REPRO_WORKERS", positive_int)
     result_cache: Optional[str] = _var("REPRO_RESULT_CACHE", path)
     trace_cache: Optional[str] = _var("REPRO_TRACE_CACHE", path)
-    #: `repro serve`'s rendered-frame LRU budget (ReproService)
-    mem_cache_mb: float = _var("REPRO_MEM_CACHE_MB", non_negative_float, 64.0)
     sim_scale: Optional[float] = _var("REPRO_SIM_SCALE", positive_float)
     max_mappings: Optional[int] = _var("REPRO_MAX_MAPPINGS", positive_int)
     #: per-job deadline in seconds; None or 0 = no deadline
     job_timeout: Optional[float] = _var("REPRO_JOB_TIMEOUT", non_negative_float)
     max_attempts: int = _var("REPRO_MAX_ATTEMPTS", positive_int, 3)
     retry_backoff: float = _var("REPRO_RETRY_BACKOFF", non_negative_float, 0.1)
-    retry_jitter: float = _var("REPRO_RETRY_JITTER", non_negative_float, 0.0)
     max_pool_respawns: int = _var("REPRO_MAX_POOL_RESPAWNS", non_negative_int, 3)
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] = os.environ) -> "Settings":
-        """Parse every variable of ``environ``; a bad value raises
-        :class:`ValueError` naming the variable."""
+        """Parse every variable of ``environ``; a bad value or an unknown
+        ``REPRO_*`` name raises :class:`ValueError` naming the variable."""
+        known = {f.metadata["env"] for f in fields(cls)} | _NOT_SETTINGS
+        for name in environ:
+            if name.startswith("REPRO_") and name not in known:
+                raise ValueError(
+                    f"{name} is not a setting (README's Settings table "
+                    f"lists every REPRO_* variable)"
+                )
         values = {}
         for f in fields(cls):
             name, parse = f.metadata["env"], f.metadata["parse"]
@@ -117,7 +125,6 @@ class Settings:
         return RetryPolicy(
             max_attempts=self.max_attempts,
             backoff_base=self.retry_backoff,
-            jitter=self.retry_jitter,
             timeout=self.job_timeout,
             max_pool_respawns=self.max_pool_respawns,
         )

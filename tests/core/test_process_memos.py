@@ -20,7 +20,8 @@ from repro.core.mapping import enumerate_mappings
 from repro.core.simulation import resolve_traces, run_simulation
 from repro.isa.opcodes import OP_INT
 from repro.isa.registers import REG_NONE
-from repro.runner.continuation import ContinuationJob, ContinuationRun
+from repro.runner.continuation import ContinuationJob
+from repro.runner.jobs import SimJob
 from repro.trace.profiling import clear_profile_cache, profile_benchmark
 from repro.trace.stream import Trace, trace_for
 from repro.workloads.definitions import get_workload
@@ -78,7 +79,7 @@ def test_profile_pass_leaves_no_trace_in_the_memo():
 
 def test_bundle_runs_workload_by_workload_and_returns_run_order(monkeypatch):
     """A bundle whose runs interleave three workloads returns exactly
-    what each run's SimJob returns, in run order, and executes each
+    what each SimJob returns on its own, in run order, and executes each
     workload's runs back to back."""
     runs = []
     for target in (250, 300):
@@ -86,18 +87,18 @@ def test_bundle_runs_workload_by_workload_and_returns_run_order(monkeypatch):
             for name in ("2W4", "4W6", "2W1"):
                 benchmarks = get_workload(name).benchmarks
                 mapping = enumerate_mappings(get_config(config), len(benchmarks))[-1]
-                runs.append(ContinuationRun(config, benchmarks, mapping, target,
-                                            trace_length=1_200))
-    reference = [run.as_sim_job().execute() for run in runs]
+                runs.append(SimJob(config, benchmarks, mapping, target,
+                                   trace_length=1_200))
+    reference = [run.execute() for run in runs]
 
     executed = []
-    original = ContinuationRun.execute
+    original = SimJob.execute
 
     def spy(self, cache=None):
         executed.append(self.benchmarks)
         return original(self, cache)
 
-    monkeypatch.setattr(ContinuationRun, "execute", spy)
+    monkeypatch.setattr(SimJob, "execute", spy)
     stream.clear_trace_cache()
     warm.clear_warm_cache()
     assert list(ContinuationJob(tuple(runs)).execute()) == reference

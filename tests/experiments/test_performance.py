@@ -17,7 +17,8 @@ from repro.experiments.performance import (
     run_performance_experiment,
 )
 from repro.runner import BatchRunner
-from repro.runner.continuation import ContinuationJob, ContinuationRun
+from repro.runner.continuation import ContinuationJob
+from repro.runner.jobs import SimJob
 from repro.workloads.definitions import get_workload
 
 
@@ -130,13 +131,13 @@ def _requested_runs(plan, scale):
     run per distinct BEST/HEUR/WORST mapping."""
     bench = plan.workload.benchmarks
     if plan.single_map is not None:
-        return [ContinuationRun(plan.config_name, bench, plan.single_map,
-                                scale.commit_target)]
-    screens = [ContinuationRun(plan.config_name, bench, m, scale.screen_target)
+        return [SimJob(plan.config_name, bench, plan.single_map,
+                       scale.commit_target)]
+    screens = [SimJob(plan.config_name, bench, m, scale.screen_target)
                for m in plan.candidates]
     trio = dict.fromkeys([plan.heur_map, plan.best_map, plan.worst_map])
     return screens + [
-        ContinuationRun(plan.config_name, bench, m, scale.commit_target)
+        SimJob(plan.config_name, bench, m, scale.commit_target)
         for m in trio
     ]
 
@@ -173,5 +174,5 @@ def test_sweep_simulates_each_machine_once(tiny_scale, tmp_path, configs):
 
     cache = runner.cache
     for run in requested:
-        assert cache.path_for(cache.job_key(run.as_sim_job())).is_file()
+        assert cache.path_for(cache.job_key(run)).is_file()
     runner.close()

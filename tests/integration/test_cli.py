@@ -111,6 +111,15 @@ def test_bad_environment_exits_2_naming_the_variable(monkeypatch, capsys):
     assert "REPRO_WORKERS must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["REPRO_RETRY_JITTER", "REPRO_MEM_CACHE_MB"])
+def test_retired_variable_exits_2_naming_it(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["areas"])
+    assert exc.value.code == 2
+    assert f"{name} is not a setting" in capsys.readouterr().err
+
+
 def test_good_numbers_parse():
     args = build_parser().parse_args(
         ["figures", "--scale", "0.5", "--jobs", "2", "--job-timeout", "0",

@@ -2,9 +2,9 @@
 
 The contract: bundles *partition* the run plan exactly (every run in
 exactly one bundle, round-robin, original relative order), a bundle's
-resume count equals the number of full-length runs it replaces, and a
-bundled run's result is bit-identical to the ``run_simulation`` call the
-one-job-per-run scheduler used to dispatch.
+resume count equals the number of runs it carries, and a bundled
+:class:`~repro.runner.jobs.SimJob`'s result is bit-identical to the
+``run_simulation`` call it describes.
 """
 
 import dataclasses
@@ -22,17 +22,17 @@ from repro.runner import BatchRunner
 from repro.runner.cache import ResultCache
 from repro.runner.continuation import (
     ContinuationJob,
-    ContinuationRun,
     plan_bundles,
     unbundle_results,
 )
+from repro.runner.jobs import SimJob
 from repro.runner.screening import ScreenJob
 from repro.workloads.definitions import get_workload
 
 
-def _run(i: int) -> ContinuationRun:
+def _run(i: int) -> SimJob:
     """Distinct dummy runs (never executed by the partition tests)."""
-    return ContinuationRun("M8", ("gzip",), (0,), 100 + i)
+    return SimJob("M8", ("gzip",), (0,), 100 + i)
 
 
 # ----------------------------------------------------------- plan_bundles
@@ -67,7 +67,7 @@ def test_bundle_count_must_be_positive():
 def _runs(n):
     """n cheap, pairwise-distinct runs (the seed is the identity)."""
     return tuple(
-        ContinuationRun(
+        SimJob(
             config="M8",
             benchmarks=("gzip", "twolf"),
             mapping=(0, 0),
@@ -93,10 +93,8 @@ def test_bundled_runs_equal_run_simulation(tiny_scale):
     """A bundle's results must be bit-identical, run for run, to the
     individual ``run_simulation`` calls it replaces."""
     runs = (
-        ContinuationRun("M8", ("gzip", "twolf"), (0, 0),
-                        tiny_scale.commit_target),
-        ContinuationRun("2M4+2M2", ("gzip", "twolf"), (0, 2),
-                        tiny_scale.commit_target),
+        SimJob("M8", ("gzip", "twolf"), (0, 0), tiny_scale.commit_target),
+        SimJob("2M4+2M2", ("gzip", "twolf"), (0, 2), tiny_scale.commit_target),
     )
     job = ContinuationJob(runs=runs)
     results = job.execute()
@@ -110,8 +108,8 @@ def test_bundled_runs_equal_run_simulation(tiny_scale):
 def test_result_cache_is_per_run_and_bundle_independent(tmp_path, tiny_scale):
     """Bundle runs cache under their SimJob identities: a re-bundled (or
     per-job) sweep hits the same entries, independent of composition."""
-    run_a = ContinuationRun("M8", ("gzip",), (0,), tiny_scale.commit_target)
-    run_b = ContinuationRun("M8", ("twolf",), (0,), tiny_scale.commit_target)
+    run_a = SimJob("M8", ("gzip",), (0,), tiny_scale.commit_target)
+    run_b = SimJob("M8", ("twolf",), (0,), tiny_scale.commit_target)
     cache = ResultCache(tmp_path)
     first = ContinuationJob(runs=(run_a, run_b)).execute(cache)
     assert cache.misses == 2 and cache.hits == 0
@@ -121,9 +119,32 @@ def test_result_cache_is_per_run_and_bundle_independent(tmp_path, tiny_scale):
     )
     assert cache.hits == 2
     assert again == (first[1], first[0])
-    # The per-job scheduler's SimJob identity hits the same entry.
-    assert run_a.as_sim_job().execute(cache) == first[0]
+    # The same SimJob dispatched on its own hits the same entry.
+    assert run_a.execute(cache) == first[0]
     assert cache.hits == 3
+
+
+def test_bundle_runs_workload_by_workload_and_answers_in_run_order(
+        monkeypatch):
+    """``execute`` runs every run of one trace set before the next (so a
+    worker's memos hold one workload at a time), yet returns results in
+    the bundle's run order."""
+    a1, b1, a2, b2 = (
+        SimJob("M8", ("gzip",), (0,), 100),
+        SimJob("M8", ("twolf",), (0,), 100),
+        SimJob("M8", ("gzip",), (0,), 200),
+        SimJob("M8", ("twolf",), (0,), 200),
+    )
+    order = []
+
+    def fake_execute(run, cache=None):
+        order.append(run)
+        return run.commit_target, run.benchmarks
+
+    monkeypatch.setattr(SimJob, "execute", fake_execute)
+    results = ContinuationJob(runs=(a1, b1, a2, b2)).execute()
+    assert order == [a1, a2, b1, b2]
+    assert results == tuple(fake_execute(r) for r in (a1, b1, a2, b2))
 
 
 # ------------------------------------------ scheduler integration (sweep)

@@ -23,7 +23,7 @@ JOBS = tuple(
 
 #: Generous vs the ~0.1s a job really takes, tiny vs an injected hang.
 FAST_POLICY = RetryPolicy(
-    max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=20.0
+    max_attempts=3, backoff_base=0.05, timeout=20.0
 )
 
 
@@ -122,7 +122,7 @@ def test_hang_times_out_and_retries(fault_env, reference_results):
          "hang_seconds": 60.0},
     ])
     policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=2.0
+        max_attempts=3, backoff_base=0.05, timeout=2.0
     )
     results, report = _chaos_run(policy=policy)
     assert results == reference_results
@@ -141,7 +141,7 @@ def test_repeated_pool_breaks_degrade_to_inline(fault_env, reference_results):
     # again and blow the respawn budget whatever the scheduling.
     arm([{"match": "", "op": "die", "executions": [1, 2, 3]}])
     policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=20.0,
+        max_attempts=3, backoff_base=0.05, timeout=20.0,
         max_pool_respawns=1,
     )
     results, report = _chaos_run(policy=policy)
@@ -187,7 +187,7 @@ def test_repeated_hangs_degrade_to_inline(fault_env, reference_results):
          "hang_seconds": 60.0},
     ])
     policy = RetryPolicy(
-        max_attempts=5, backoff_base=0.05, backoff_max=0.2, timeout=1.5,
+        max_attempts=5, backoff_base=0.05, timeout=1.5,
         max_pool_respawns=0,
     )
     results, report = _chaos_run(policy=policy)
@@ -218,7 +218,7 @@ def test_queued_jobs_do_not_burn_their_timeout_budget(fault_env):
     with BatchRunner(workers=1, trace_store=False) as runner:
         expected = runner.run(jobs)
     policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=2.0
+        max_attempts=3, backoff_base=0.05, timeout=2.0
     )
     with BatchRunner(workers=2, trace_store=False, policy=policy) as runner:
         results = runner.run(jobs)
@@ -291,7 +291,7 @@ def test_chaos_sweep_is_bit_identical_to_fault_free(
          "hang_seconds": 60.0},
     ])
     policy = RetryPolicy(
-        max_attempts=3, backoff_base=0.05, backoff_max=0.2, timeout=3.0
+        max_attempts=3, backoff_base=0.05, timeout=3.0
     )
     results, report = _chaos_run(policy=policy, cache_dir=cache_dir)
     assert results == reference_results

@@ -18,8 +18,15 @@ from repro.runner import (
     SimJob,
     SupervisedExecutor,
 )
-from repro.runner.continuation import ContinuationJob, ContinuationRun
-from repro.runner.resilience import JobError, _BatchState, _Flight
+from repro.runner.continuation import ContinuationJob
+from repro.runner.resilience import (
+    _BACKOFF_FACTOR,
+    _BACKOFF_MAX,
+    _HEAVY_TIMEOUT_FACTOR,
+    JobError,
+    _BatchState,
+    _Flight,
+)
 from repro.trace.profiling import PROFILE_LENGTH, ProfileJob
 from repro.workloads.definitions import get_workload
 
@@ -41,7 +48,7 @@ def test_supervised_matches_inline(sim_jobs):
     # A healthy run is not eventful, and accounting is exact.
     assert not report.eventful
     assert report.jobs == report.attempts == len(sim_jobs)
-    assert len(report.job_seconds) == len(sim_jobs)
+    assert 0 < report.job_seconds_max <= report.job_seconds_total
 
 
 def test_report_accumulates_across_batches(sim_jobs):
@@ -78,18 +85,31 @@ def test_hard_failure_raises_job_error_with_context():
 
 
 def test_backoff_schedule_is_exponential_and_clamped():
-    p = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
-    assert p.backoff_for(1) == pytest.approx(0.1)
-    assert p.backoff_for(2) == pytest.approx(0.2)
-    assert p.backoff_for(3) == pytest.approx(0.4)
-    assert p.backoff_for(4) == pytest.approx(0.5)  # clamped
-    assert p.backoff_for(10) == pytest.approx(0.5)
+    assert (_BACKOFF_FACTOR, _BACKOFF_MAX) == (2.0, 5.0)
+    p = RetryPolicy(backoff_base=0.5)
+    assert p.backoff_for(1) == pytest.approx(0.5)
+    assert p.backoff_for(2) == pytest.approx(1.0)
+    assert p.backoff_for(3) == pytest.approx(2.0)
+    assert p.backoff_for(4) == pytest.approx(4.0)
+    assert p.backoff_for(5) == pytest.approx(5.0)  # clamped
+    assert p.backoff_for(10) == pytest.approx(5.0)
+    assert RetryPolicy(backoff_base=0.0).backoff_for(3) == 0.0
+
+
+def test_retry_policy_holds_only_what_settings_set():
+    """Every policy field is a ``REPRO_*`` setting; the schedule's shape
+    and the heavy-job factor are constants, not per-policy values."""
+    assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+        "max_attempts", "backoff_base", "timeout", "max_pool_respawns"]
+    with pytest.raises(TypeError):
+        RetryPolicy(jitter=0.5)
 
 
 def test_heavy_jobs_get_a_larger_timeout_budget(sim_jobs):
     from repro.runner.screening import ScreenJob
 
-    p = RetryPolicy(timeout=10.0, heavy_timeout_factor=4.0)
+    assert _HEAVY_TIMEOUT_FACTOR == 4.0
+    p = RetryPolicy(timeout=10.0)
     light = sim_jobs[0]
     heavy = ScreenJob("M8", ("gzip", "twolf"), ((0, 0),), 300)
     assert heavy.heavy and not light.heavy
@@ -105,8 +125,7 @@ class _StubPool:
     """Pool stand-in whose submit() never runs anything, so the inflight
     set is exactly what the supervisor chose to submit."""
 
-    def __init__(self, max_workers=2):
-        self._max_workers = max_workers
+    def __init__(self):
         self.submitted = []
 
     def submit(self, fn, *args):
@@ -118,12 +137,13 @@ class _StubPool:
         pass
 
 
-def _stub_executor(policy=None, max_workers=2, **kw):
-    pool = _StubPool(max_workers)
+def _stub_executor(policy=None, max_inflight=2, **kw):
+    pool = _StubPool()
     ex = SupervisedExecutor(
         pool_factory=lambda: pool,
         worker_fn=lambda job: (job, None),
         inline_fn=lambda job: (job, None),
+        max_inflight=max_inflight,
         policy=policy or RetryPolicy(backoff_base=0.0),
         **kw,
     )
@@ -135,11 +155,11 @@ def test_submissions_capped_at_worker_count():
     a per-job deadline (assigned at submission) starts when the job
     starts running — queued jobs must not burn their wall-clock budget
     waiting behind a long batch."""
-    ex, pool = _stub_executor(max_workers=2)
+    ex, pool = _stub_executor(max_inflight=2)
     jobs = list(range(6))
     st = _BatchState(len(jobs))
     ex._submit_queued(jobs, st)
-    assert len(st.inflight) == 2  # capped at pool._max_workers
+    assert len(st.inflight) == 2  # capped at max_inflight
     assert len(st.queue) == 4
     # A completed future frees a slot; the refill tops back up to the cap.
     fut = pool.submitted[0]
@@ -151,11 +171,21 @@ def test_submissions_capped_at_worker_count():
     assert ex.report.attempts == 3
 
 
-def test_explicit_max_inflight_overrides_pool_size():
-    ex, _pool = _stub_executor(max_workers=4, max_inflight=1)
+def test_explicit_max_inflight_of_one_submits_one_job():
+    ex, _pool = _stub_executor(max_inflight=1)
     st = _BatchState(3)
     ex._submit_queued(list(range(3)), st)
     assert len(st.inflight) == 1
+
+
+def test_max_inflight_is_required():
+    """The cap comes from the caller, never from the pool's internals."""
+    with pytest.raises(TypeError, match="max_inflight"):
+        SupervisedExecutor(
+            pool_factory=_StubPool,
+            worker_fn=lambda job: (job, None),
+            inline_fn=lambda job: (job, None),
+        )
 
 
 def test_expired_unstarted_future_is_cancelled_without_penalty():
@@ -233,6 +263,7 @@ def test_inline_drain_retries_and_keeps_the_failure_contract():
         pool_factory=lambda: _StubPool(),
         worker_fn=None,
         inline_fn=flaky,
+        max_inflight=1,
         policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
     )
     st = _BatchState(2)
@@ -253,6 +284,7 @@ def test_inline_drain_exhaustion_raises_job_error():
         pool_factory=lambda: _StubPool(),
         worker_fn=None,
         inline_fn=always_fail,
+        max_inflight=1,
         policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
     )
     st = _BatchState(1)
@@ -275,6 +307,7 @@ def test_inline_drain_carries_prior_attempts_into_the_budget():
         pool_factory=lambda: _StubPool(),
         worker_fn=None,
         inline_fn=always_fail,
+        max_inflight=1,
         policy=RetryPolicy(max_attempts=3, backoff_base=0.0),
     )
     st = _BatchState(1)
@@ -284,32 +317,6 @@ def test_inline_drain_carries_prior_attempts_into_the_budget():
         ex._drain_inline(["j"], st)
     assert exc_info.value.attempts == 3
     assert ex.report.attempts == 1  # only the one inline execution
-
-
-# ------------------------------------------------------------------ RunReport
-
-
-def test_run_report_merge_and_dict_round_trip():
-    a = RunReport(jobs=2, attempts=3, retries=1, job_seconds=[0.1, 0.2])
-    b = RunReport(jobs=1, attempts=1, pool_respawns=1, wall_seconds=1.5,
-                  job_seconds=[0.3])
-    a.merge(b)
-    assert (a.jobs, a.attempts, a.retries, a.pool_respawns) == (3, 4, 1, 1)
-    assert a.job_seconds == [0.1, 0.2, 0.3]
-    d = a.as_dict()
-    assert d["jobs"] == 3
-    assert d["job_seconds_max"] == pytest.approx(0.3)
-    assert a.eventful  # retries + respawns fired
-    assert not RunReport(jobs=5, attempts=5).eventful
-    assert "1 retries" in a.describe()
-
-
-def test_report_absorbs_worker_stats():
-    r = RunReport()
-    r.absorb_worker_stats(None)
-    r.absorb_worker_stats({})
-    r.absorb_worker_stats({"cache_fallbacks": 2})
-    assert r.cache_fallbacks == 2
 
 
 # ------------------------------------------------------------------ lifecycle
@@ -357,6 +364,7 @@ def test_supervised_executor_close_idempotent():
         pool_factory=lambda: (_ for _ in ()).throw(AssertionError),
         worker_fn=None,
         inline_fn=None,
+        max_inflight=1,
     )
     assert ex.run([]) == []  # empty batch never builds a pool
     ex.close()
@@ -435,9 +443,9 @@ def test_pool_workers_hold_bounded_memos():
     import repro.trace.stream as stream
 
     runs = tuple(
-        ContinuationRun("M8", get_workload(name).benchmarks,
-                        (0,) * len(get_workload(name).benchmarks), 150,
-                        trace_length=length)
+        SimJob("M8", get_workload(name).benchmarks,
+               (0,) * len(get_workload(name).benchmarks), 150,
+               trace_length=length)
         for length in (600, 700)
         for name in ("4W4", "6W1", "2W4")
     )
@@ -452,49 +460,21 @@ def test_pool_workers_hold_bounded_memos():
         assert longest < PROFILE_LENGTH
 
 
-# ------------------------------------------------------------- retry jitter
-
-
-def test_backoff_jitter_deterministic_and_bounded():
-    import random as _random
-
-    policy = RetryPolicy(backoff_base=1.0, backoff_factor=1.0,
-                         backoff_max=10.0, jitter=0.5)
-    draws_a = [policy.backoff_for(1, rng=_random.Random(42))
-               for _ in range(50)]
-    # Same seed, same schedule: deterministic when seeded.
-    draws_b = [policy.backoff_for(1, rng=_random.Random(42))
-               for _ in range(50)]
-    assert draws_a == draws_b
-    # One evolving RNG spreads the delays within 1 +- jitter/2.
-    rng = _random.Random(7)
-    spread = [policy.backoff_for(1, rng=rng) for _ in range(200)]
-    assert all(0.75 <= d <= 1.25 for d in spread)
-    assert len(set(spread)) > 100  # actually spread, not a constant
-
-
-def test_zero_jitter_keeps_exact_legacy_schedule():
-    policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                         backoff_max=1.0)
-    assert policy.backoff_for(1) == pytest.approx(0.1)
-    assert policy.backoff_for(2) == pytest.approx(0.2)
-    assert policy.backoff_for(5) == pytest.approx(1.0)  # clamped
+# ------------------------------------------------------------------ RunReport
 
 
 def test_run_report_counters_round_trip():
-    a = RunReport(jobs=2, attempts=4, retries=2, timeouts=1,
-                  wall_seconds=1.25, job_seconds=[0.5])
-    b = RunReport(jobs=1, attempts=1, pool_respawns=1, inline_fallbacks=1,
-                  cache_fallbacks=2, failures=1, job_seconds=[0.25])
-    a.merge(b)
-    assert (a.jobs, a.attempts, a.retries, a.timeouts, a.pool_respawns,
-            a.inline_fallbacks, a.cache_fallbacks,
-            a.failures) == (3, 5, 2, 1, 1, 1, 2, 1)
+    a = RunReport(jobs=3, attempts=5, retries=2, timeouts=1, pool_respawns=1,
+                  inline_fallbacks=1, cache_fallbacks=2, failures=1,
+                  wall_seconds=1.25)
+    a.record_job(0.5)
+    a.record_job(0.25)
     assert a.eventful
     d = a.as_dict()
     assert (d["retries"], d["timeouts"], d["pool_respawns"],
             d["cache_fallbacks"]) == (2, 1, 1, 2)
-    assert d["wall_seconds"] == 1.25 and d["job_seconds_total"] == 0.75
+    assert d["wall_seconds"] == 1.25
+    assert (d["job_seconds_total"], d["job_seconds_max"]) == (0.75, 0.5)
     assert a.describe() == (
         "3 jobs / 5 attempts in 1.2s — 2 retries, 1 timeouts, 1 pool "
         "respawns, 1 inline fallbacks, 2 cache fallbacks, 1 hard failures"
@@ -505,26 +485,50 @@ def test_run_report_counters_round_trip():
     assert quiet.describe().startswith("5 jobs / 5 attempts in 0.0s — 0 retries")
 
 
+def test_report_absorbs_worker_stats():
+    r = RunReport()
+    r.absorb_worker_stats(None)
+    r.absorb_worker_stats({})
+    r.absorb_worker_stats({"cache_fallbacks": 2})
+    assert r.cache_fallbacks == 2
+
+
+@dataclasses.dataclass(frozen=True)
+class _NoOpJob:
+    heavy: ClassVar[bool] = False
+
+    def execute(self, cache=None):
+        return None
+
+    def trace_manifest(self):
+        return ()
+
+
+def test_report_size_does_not_grow_with_the_job_count():
+    """A long-lived runner (``repro serve``) keeps one report for its
+    whole life: its JSON after 1,000 jobs is as long as after 10, up to
+    the digits of its counters and timings."""
+    import json
+
+    sizes = []
+    with BatchRunner(workers=1, trace_store=False) as runner:
+        for n in (10, 990):
+            runner.run([_NoOpJob()] * n)
+            sizes.append(len(json.dumps(runner.report.as_dict())))
+        assert runner.report.jobs == runner.report.attempts == 1_000
+    assert sizes[1] - sizes[0] < 16
+
+
 #: RunReport fields that size a run; every other field counts an event.
-_VOLUME = {"jobs", "batches", "attempts", "wall_seconds", "job_seconds"}
+_VOLUME = {"jobs", "batches", "attempts", "wall_seconds", "job_seconds_total",
+           "job_seconds_max"}
 
 
 @pytest.mark.parametrize("f", dataclasses.fields(RunReport), ids=lambda f: f.name)
 def test_run_report_is_derived_from_its_fields(f):
-    """merge/as_dict/eventful cover every field with no hand-kept list."""
-    if f.name == "job_seconds":
-        a, b = RunReport(job_seconds=[0.5]), RunReport(job_seconds=[0.25])
-        a.merge(b)
-        assert a.job_seconds == [0.5, 0.25]
-        d = a.as_dict()
-        assert d["job_seconds"] == [0.5, 0.25]
-        assert d["job_seconds_total"] == 0.75
-        assert d["job_seconds_max"] == 0.5
-    else:
-        a, b = RunReport(**{f.name: 2}), RunReport(**{f.name: 3})
-        a.merge(b)
-        assert getattr(a, f.name) == 5
-        assert a.as_dict()[f.name] == 5
+    """as_dict/eventful cover every field with no hand-kept list."""
+    a = RunReport(**{f.name: 2})
+    assert a.as_dict()[f.name] == 2
     assert a.eventful == (f.name not in _VOLUME)
 
 
@@ -534,16 +538,14 @@ def test_events_only_keeps_events_and_restores_volume(f):
     batches, attempts or timings: inside ``events_only`` every field
     moves, and on exit only the event counters keep what they gained."""
     before = RunReport(jobs=4, batches=1, attempts=5, retries=1,
-                       wall_seconds=2.0, job_seconds=[0.5])
-    report = dataclasses.replace(before, job_seconds=list(before.job_seconds))
+                       wall_seconds=2.0, job_seconds_total=0.5,
+                       job_seconds_max=0.5)
+    report = dataclasses.replace(before)
     with report.events_only() as inner:
         assert inner is report
-        if f.name == "job_seconds":
-            report.job_seconds.append(0.25)
-        else:
-            setattr(report, f.name, getattr(report, f.name) + 3)
+        setattr(report, f.name, getattr(report, f.name) + 3)
     if f.name in _VOLUME:
         assert report == before
     else:
         assert getattr(report, f.name) == getattr(before, f.name) + 3
-        assert report.job_seconds == [0.5] and report.jobs == 4
+        assert report.job_seconds_total == 0.5 and report.jobs == 4

@@ -35,7 +35,7 @@ def test_truncated_cache_file_recomputes(tmp_path, sim_job):
     assert cache.get(sim_job) is None  # miss, not an exception
     # And the standard runner flow recomputes and repairs the entry.
     with BatchRunner(workers=1, cache_dir=tmp_path) as runner:
-        again = runner.run_one(sim_job)
+        (again,) = runner.run([sim_job])
     assert again == result
     assert cache.get(sim_job) == result
 
@@ -270,16 +270,6 @@ def test_get_returns_detached_results(tmp_path, sim_job):
     first.stats["poisoned"] = 1
     assert cache.get(sim_job) == result
     assert "poisoned" not in cache.get(sim_job).stats
-
-
-def test_cache_ignores_the_frame_budget_variable(tmp_path, sim_job, monkeypatch):
-    """``REPRO_MEM_CACHE_MB`` sizes only the service's frame LRU; a
-    garbled value there does not stop a ResultCache from working."""
-    monkeypatch.setenv("REPRO_MEM_CACHE_MB", "abc")
-    cache = ResultCache(tmp_path)
-    result = sim_job.execute()
-    cache.put(sim_job, result)
-    assert cache.get(sim_job) == result
 
 
 @pytest.mark.parametrize("age", [-1.0, float("nan"), float("inf")])

@@ -29,10 +29,12 @@ def runner(tmp_path):
     runner.close()
 
 
-def serve(runner, coro_fn, tmp_path, **service_kw):
+def serve(runner, coro_fn, tmp_path, frame_budget_bytes=None, **service_kw):
     service_kw.setdefault("cache", getattr(runner, "cache", None))
     service_kw.setdefault("progress_interval", 0.1)
     service = ReproService(runner, **service_kw)
+    if frame_budget_bytes is not None:
+        service.frame_budget_bytes = frame_budget_bytes
     sockpath = str(tmp_path / "serve.sock")
 
     async def main():
@@ -103,7 +105,7 @@ def test_frame_tier_disabled_falls_back_to_result_cache(runner, tmp_path):
         return raw, dict(service.stats), service.cache.hits
 
     raw, stats, cache_hits = serve(
-        runner, scenario, tmp_path, frame_cache_mb=0
+        runner, scenario, tmp_path, frame_budget_bytes=0
     )
     assert raw[0] == raw[1]
     assert stats["frame_served"] == 0
@@ -124,7 +126,7 @@ def test_corrupt_entry_behind_a_frame_miss_is_recomputed(runner, tmp_path):
         return first, second, len(entries), dict(service.stats), service.cache
 
     first, second, n_entries, stats, cache = serve(
-        runner, scenario, tmp_path, frame_cache_mb=0
+        runner, scenario, tmp_path, frame_budget_bytes=0
     )
     assert n_entries == 1
     assert first == second
@@ -136,17 +138,17 @@ def test_corrupt_entry_behind_a_frame_miss_is_recomputed(runner, tmp_path):
     assert json.loads(entry.read_text())["commit_target"] == 300
 
 
-def test_frame_budget_env_default(runner, monkeypatch):
-    monkeypatch.delenv("REPRO_MEM_CACHE_MB", raising=False)
+def test_frame_budget_default(runner):
     assert ReproService(runner).frame_budget_bytes == 64 * 1024 * 1024
-    monkeypatch.setenv("REPRO_MEM_CACHE_MB", "8")
-    assert ReproService(runner).frame_budget_bytes == 8 * 1024 * 1024
-    monkeypatch.setenv("REPRO_MEM_CACHE_MB", "0")
-    assert ReproService(runner).frame_budget_bytes == 0
+
+
+def test_frame_budget_is_not_a_constructor_parameter(runner):
+    with pytest.raises(TypeError, match="frame_cache_mb"):
+        ReproService(runner, frame_cache_mb=8)
 
 
 def test_frame_lru_eviction(runner):
-    service = ReproService(runner, frame_cache_mb=1)
+    service = ReproService(runner)
     service.frame_budget_bytes = 64
     service._frame_put("a", b"x" * 30)
     service._frame_put("b", b"y" * 30)

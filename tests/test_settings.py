@@ -17,7 +17,6 @@ import pytest
 
 from repro.runner import BatchRunner, RetryPolicy
 from repro.runner.batch import resolve_workers
-from repro.service.server import ReproService
 from repro.settings import (
     KINDS,
     Settings,
@@ -36,13 +35,11 @@ VALID = [
     ("REPRO_WORKERS", "5", 5),
     ("REPRO_RESULT_CACHE", "/tmp/results", "/tmp/results"),
     ("REPRO_TRACE_CACHE", "store", "store"),
-    ("REPRO_MEM_CACHE_MB", "2", 2.0),
     ("REPRO_SIM_SCALE", "0.25", 0.25),
     ("REPRO_MAX_MAPPINGS", "6", 6),
     ("REPRO_JOB_TIMEOUT", "12.5", 12.5),
     ("REPRO_MAX_ATTEMPTS", "5", 5),
     ("REPRO_RETRY_BACKOFF", "0.25", 0.25),
-    ("REPRO_RETRY_JITTER", "0.3", 0.3),
     ("REPRO_MAX_POOL_RESPAWNS", "0", 0),
 ]
 
@@ -71,7 +68,7 @@ def _bad_rows():
 
 def test_rows_cover_every_variable_and_kind():
     assert [name for name, _, _ in VALID] == VARIABLES
-    assert len(VARIABLES) == 11
+    assert len(VARIABLES) == 9
     assert list(READERS) == VARIABLES
     assert BAD.keys() == KINDS.keys()
 
@@ -96,6 +93,32 @@ def test_bad_value_raises_naming_the_variable(name, raw):
         Settings.from_env({name: raw})
 
 
+@pytest.mark.parametrize("name", [
+    "REPRO_RETRY_JITTER", "REPRO_MEM_CACHE_MB", "REPRO_DIST_QUEUE",
+    "REPRO_DIST_GRACE", "REPRO_LEASE_TTL", "REPRO_SPEC_QUANTILE",
+    "REPRO_SPEC_FACTOR", "REPRO_DIST_STALL",
+])
+def test_retired_or_unknown_name_raises_naming_it(name):
+    """A retired or misspelt variable fails loudly instead of silently
+    leaving its setting at the default."""
+    with pytest.raises(ValueError, match=f"^{name} is not a setting"):
+        Settings.from_env({name: "1"})
+
+
+@pytest.mark.parametrize("name,raw,expected", VALID)
+def test_misspelt_name_raises_even_beside_the_real_one(name, raw, expected):
+    """A typo next to a valid setting is still an error, and the error
+    names the typo, not the variable it resembles."""
+    typo = name[:-1]
+    with pytest.raises(ValueError, match=f"^{typo} is not a setting"):
+        Settings.from_env({name: raw, typo: raw})
+
+
+def test_fault_protocol_names_are_not_settings_but_allowed():
+    env = {"REPRO_FAULT_PLAN": "[]", "REPRO_FAULT_STATE": "/tmp/state"}
+    assert Settings.from_env(env) == Settings()
+
+
 def test_reads_os_environ_by_default(monkeypatch):
     monkeypatch.setenv("REPRO_MAX_MAPPINGS", "7")
     assert Settings.from_env().max_mappings == 7
@@ -110,11 +133,10 @@ def test_retry_policy_from_settings():
         "REPRO_MAX_ATTEMPTS": "5",
         "REPRO_JOB_TIMEOUT": "12.5",
         "REPRO_RETRY_BACKOFF": "0.25",
-        "REPRO_RETRY_JITTER": "0.3",
         "REPRO_MAX_POOL_RESPAWNS": "1",
     }).retry_policy()
     assert p == RetryPolicy(max_attempts=5, timeout=12.5, backoff_base=0.25,
-                            jitter=0.3, max_pool_respawns=1)
+                            max_pool_respawns=1)
 
 
 def test_resolve_workers(monkeypatch):
@@ -133,17 +155,9 @@ def _runner(tmp_path):
     return BatchRunner(workers=1, trace_store=False)
 
 
-def _service(tmp_path):
-    return ReproService(runner=None)
-
-
 @pytest.mark.parametrize("name,raw,build", [
-    # Each of these used to be accepted: a nan deadline never expires,
-    # an inf jitter makes time.sleep raise OverflowError, and a garbled
-    # frame budget fell back to 64 MB with a warning.
+    # This one used to be accepted: a nan deadline never expires.
     ("REPRO_JOB_TIMEOUT", "nan", _runner),
-    ("REPRO_RETRY_JITTER", "inf", _runner),
-    ("REPRO_MEM_CACHE_MB", "abc", _service),
     # ... and the ones that warned or clamped before.
     ("REPRO_MAX_ATTEMPTS", "lots", _runner),
     ("REPRO_WORKERS", "-4", _runner),
@@ -171,13 +185,11 @@ READERS = {
     "REPRO_WORKERS": lambda tmp: _built("workers", workers=None),
     "REPRO_RESULT_CACHE": lambda tmp: _built("cache_dir"),
     "REPRO_TRACE_CACHE": lambda tmp: _built("store_dir", trace_store=None),
-    "REPRO_MEM_CACHE_MB": lambda tmp: _service(tmp).frame_budget_bytes,
     "REPRO_SIM_SCALE": lambda tmp: _scale().commit_target,
     "REPRO_MAX_MAPPINGS": lambda tmp: _scale().max_mappings,
     "REPRO_JOB_TIMEOUT": lambda tmp: _built("policy.timeout"),
     "REPRO_MAX_ATTEMPTS": lambda tmp: _built("policy.max_attempts"),
     "REPRO_RETRY_BACKOFF": lambda tmp: _built("policy.backoff_base"),
-    "REPRO_RETRY_JITTER": lambda tmp: _built("policy.jitter"),
     "REPRO_MAX_POOL_RESPAWNS": lambda tmp: _built("policy.max_pool_respawns"),
 }
 
@@ -186,7 +198,6 @@ READERS = {
 DERIVED = {
     "REPRO_RESULT_CACHE": lambda tmp: str(tmp / "results"),
     "REPRO_TRACE_CACHE": lambda tmp: str(tmp / "store"),
-    "REPRO_MEM_CACHE_MB": lambda tmp: 2 * 1024 * 1024,
     "REPRO_SIM_SCALE": lambda tmp: 2_000,
 }
 
