@@ -21,9 +21,12 @@
 #                 test_pool_workers_hold_bounded_memos: each worker's
 #                 trace and warm memos stay within their bounds and hold
 #                 no profile-length trace; the CI chaos lane)
-#   make ci       tier-1 suite + the figures-smoke CI lane as CI runs
-#                 it: a screening sweep, then exact-mode sweeps with
-#                 --jobs 1 and --jobs 2 whose stdouts must be identical
+#   make ci       every CI lane that needs no extra package: the tier-1
+#                 suite, the chaos and perfbench lanes, then the
+#                 figures-smoke lane as CI runs it: a screening sweep,
+#                 then exact-mode sweeps with --jobs 1 and --jobs 2
+#                 whose stdouts must be identical (lint stays separate:
+#                 it needs ruff)
 #
 # Local subsets of the tier-1 suite:
 #
@@ -79,7 +82,7 @@ bench:
 figures:
 	$(PYTHON) -m repro figures
 
-ci: test
+ci: test chaos perfbench
 	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
 		--jobs 2 --screening --workloads 2W4 4W6 --quiet
 	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \

@@ -8,10 +8,10 @@ target and returns a :class:`SimResult`. The experiment drivers in
 Traces flow through here as *column views*: ``resolve_traces`` hands the
 processor :class:`~repro.trace.stream.Trace` objects whose fetch path is
 served by lazily-decoded blocks over the packed int64 columns
-(:meth:`~repro.trace.stream.Trace.fetch_view`) — for store-served
-(mmap-backed) traces the full tuple lists never materialize, so a
-BatchRunner worker pays page-cache reads, not per-trace decode, and a
-short screening run decodes only the prefix it actually fetches. The
+(:meth:`~repro.trace.stream.Trace.fetch_view`) — a Trace holds no
+tuple lists, so a BatchRunner worker serving traces from the store
+(mmap-backed) pays page-cache reads, not per-trace decode, and a short
+screening run decodes only the prefix it actually fetches. The
 warm pass consumes the same columns through
 :meth:`~repro.trace.stream.Trace.warm_sequences`.
 """

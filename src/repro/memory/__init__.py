@@ -13,7 +13,7 @@ caches and register file stay shared; only the pipelines are clustered).
 
 from repro.memory.cache import SetAssociativeCache, CacheStats
 from repro.memory.tlb import TranslationBuffer
-from repro.memory.hierarchy import MemoryHierarchy, MemoryParams, AccessResult
+from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 
 __all__ = [
     "SetAssociativeCache",
@@ -21,5 +21,4 @@ __all__ = [
     "TranslationBuffer",
     "MemoryHierarchy",
     "MemoryParams",
-    "AccessResult",
 ]

@@ -1,11 +1,10 @@
 """Set-associative, banked, write-allocate cache model.
 
 Timing-directed rather than data-carrying: the simulator only needs
-hit/miss decisions and bank identifiers, so lines store tags only. LRU is
-exact (2–4 ways in every configuration of the paper, so a recency list per
-set costs nothing). Banking follows the paper's "8 banks" per cache: bank
-conflicts are surfaced to the caller (the hierarchy decides whether to
-charge them, keeping the hot path free of policy).
+hit/miss decisions, so lines store tags only. LRU is exact (2–4 ways in
+every configuration of the paper, so a recency list per set costs
+nothing). Each cache records the paper's "8 banks" as its geometry; bank
+conflicts are not charged.
 
 The hot path is :meth:`SetAssociativeCache.access`: one shift, one mask,
 one short ``list.index`` scan per probe. Per the optimization guide the
@@ -51,8 +50,8 @@ class SetAssociativeCache:
     line_bytes:
         Line size (power of two).
     banks:
-        Number of independently-addressable banks (power of two); bank id
-        is derived from the set index.
+        Number of independently-addressable banks (power of two);
+        recorded geometry, not a timing input.
     max_threads:
         Sizes the per-thread statistic arrays.
     name:
@@ -69,7 +68,6 @@ class SetAssociativeCache:
         "_line_shift",
         "_set_mask",
         "_tag_shift",
-        "_bank_mask",
         "_tags",
         "_base",
         "stats",
@@ -102,7 +100,6 @@ class SetAssociativeCache:
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = num_sets - 1
         self._tag_shift = num_sets.bit_length() - 1
-        self._bank_mask = banks - 1
         # _tags[set] is a recency-ordered list of tags (index 0 = MRU);
         # sets allocate lazily on first touch (None = not yet
         # materialized). A warm-state restore (:meth:`load_state`) is
@@ -213,10 +210,6 @@ class SetAssociativeCache:
                 return False
             tags = base[idx]
         return (line >> self._tag_shift) in tags
-
-    def bank_of(self, addr: int) -> int:
-        """Bank servicing this address (set-interleaved)."""
-        return (addr >> self._line_shift) & self._bank_mask
 
     # -- state snapshot (warm-state caching) -----------------------------------
 

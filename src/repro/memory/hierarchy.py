@@ -17,12 +17,11 @@ any load outstanding longer than that is assumed to have missed in L2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.tlb import TranslationBuffer
 
-__all__ = ["MemoryParams", "MemoryHierarchy", "AccessResult"]
+__all__ = ["MemoryParams", "MemoryHierarchy"]
 
 
 @dataclass(frozen=True)
@@ -52,17 +51,6 @@ class MemoryParams:
     def flush_threshold(self) -> int:
         """Cycles after which FLUSH declares an outstanding load an L2 miss."""
         return self.l1_latency + self.l2_latency
-
-
-class AccessResult(NamedTuple):
-    """Outcome of one memory access (NamedTuple: cheap to build in the
-    simulator's issue/fetch hot paths, immutable like the old dataclass)."""
-
-    latency: int  #: total cycles until the value is available
-    l1_hit: bool
-    l2_hit: bool  #: meaningful only when ``not l1_hit``
-    tlb_hit: bool
-    bank: int  #: L1 bank servicing the access
 
 
 class MemoryHierarchy:
@@ -105,15 +93,14 @@ class MemoryHierarchy:
         self.itlb = TranslationBuffer(p.itlb_entries, p.page_bytes, "ITLB")
         self.dtlb = TranslationBuffer(p.dtlb_entries, p.page_bytes, "DTLB")
 
-    # -- hot paths -------------------------------------------------------------
+    # -- probes ----------------------------------------------------------------
     #
-    # The simulator's issue/fetch/commit loops only consume the latency
-    # (or nothing, for retiring stores), so the *_latency variants below
-    # perform the identical probe sequence without building an
-    # AccessResult. The full-result methods remain the public API.
+    # Each probe walks TLB -> L1 -> (on an L1 miss) L2, updating every
+    # structure it touches, and returns only what its caller consumes.
+    # Hit/miss outcomes are read from the structures' counters.
 
     def load_latency(self, addr: int, thread: int) -> int:
-        """Latency-only :meth:`load` (identical probe sequence)."""
+        """Data load: DTLB + L1D + (on miss) L2. Returns total latency."""
         latency = (
             self._l1_lat
             if self.dtlb.access(addr, thread)
@@ -126,7 +113,12 @@ class MemoryHierarchy:
         return latency
 
     def fetch_latency(self, pc: int, thread: int) -> int:
-        """Latency-only :meth:`fetch` (identical probe sequence)."""
+        """Instruction fetch: ITLB + L1I + (on miss) L2.
+
+        Returns the *stall* the fetch packet suffers: 0 extra cycles on an
+        L1I hit (the pipeline depth already covers the 3-cycle hit), the
+        miss penalties otherwise.
+        """
         latency = 0 if self.itlb.access(pc, thread) else self._tlb_pen
         if not self.l1i.access(pc, thread):
             latency += self._l1_miss_pen
@@ -135,56 +127,11 @@ class MemoryHierarchy:
         return latency
 
     def retire_store(self, addr: int, thread: int) -> None:
-        """Result-free :meth:`store` (identical probe sequence), for the
-        commit stage's store-buffer drain."""
+        """Data store at commit (the store-buffer drain): DTLB + L1D +
+        (on miss) L2, write-allocating; no stall reaches the pipeline."""
         self.dtlb.access(addr, thread)
         if not self.l1d.access(addr, thread):
             self.l2.access(addr, thread)
-
-    def load(self, addr: int, thread: int) -> AccessResult:
-        """Data load: DTLB + L1D + (on miss) L2. Returns total latency."""
-        p = self.params
-        tlb_hit = self.dtlb.access(addr, thread)
-        latency = p.l1_latency if tlb_hit else p.l1_latency + p.tlb_miss_penalty
-        l1_hit = self.l1d.access(addr, thread)
-        l2_hit = True
-        if not l1_hit:
-            latency += p.l1_miss_penalty
-            l2_hit = self.l2.access(addr, thread)
-            if not l2_hit:
-                latency += p.memory_latency
-        return AccessResult(latency, l1_hit, l2_hit, tlb_hit, self.l1d.bank_of(addr))
-
-    def store(self, addr: int, thread: int) -> AccessResult:
-        """Data store at commit: write-allocate into L1D/L2, no stall
-        returned to the pipeline (retirement-time store buffer drain)."""
-        p = self.params
-        tlb_hit = self.dtlb.access(addr, thread)
-        l1_hit = self.l1d.access(addr, thread)
-        l2_hit = True
-        if not l1_hit:
-            l2_hit = self.l2.access(addr, thread)
-        latency = 0 if tlb_hit else p.tlb_miss_penalty
-        return AccessResult(latency, l1_hit, l2_hit, tlb_hit, self.l1d.bank_of(addr))
-
-    def fetch(self, pc: int, thread: int) -> AccessResult:
-        """Instruction fetch: ITLB + L1I + (on miss) L2.
-
-        Returns the *stall* the fetch packet suffers: 0 extra cycles on an
-        L1I hit (the pipeline depth already covers the 3-cycle hit), the
-        miss penalties otherwise.
-        """
-        p = self.params
-        tlb_hit = self.itlb.access(pc, thread)
-        latency = 0 if tlb_hit else p.tlb_miss_penalty
-        l1_hit = self.l1i.access(pc, thread)
-        l2_hit = True
-        if not l1_hit:
-            latency += p.l1_miss_penalty
-            l2_hit = self.l2.access(pc, thread)
-            if not l2_hit:
-                latency += p.memory_latency
-        return AccessResult(latency, l1_hit, l2_hit, tlb_hit, self.l1i.bank_of(pc))
 
     # -- maintenance -------------------------------------------------------------
 

@@ -279,7 +279,6 @@ class BatchRunner:
             self.store_dir = str(trace_store)
         #: traces already packed into the store (parent-side memo)
         self._packed_triples: Set[Tuple[str, int, int]] = set()
-        self.jobs_run = 0
 
     # -- lifecycle ---------------------------------------------------------
     #
@@ -364,8 +363,6 @@ class BatchRunner:
             # of requests; a batch slipping in after drain/close would
             # otherwise resurrect the pool with its temp store gone.
             raise RuntimeError("BatchRunner is closed")
-        jobs = list(jobs)
-        self.jobs_run += len(jobs)
         return self._run_local(jobs)
 
     @staticmethod
@@ -379,8 +376,8 @@ class BatchRunner:
     def _run_local(self, jobs: Sequence) -> List:
         """The execution ladder: inline for small batches or a single
         worker, the supervised pool otherwise.  Prep units run through
-        here rather than :meth:`run`, so they count in neither
-        ``jobs_run`` nor the caller's batches."""
+        here rather than :meth:`run`, so they do not count among the
+        caller's batches."""
         jobs = list(jobs)
         if self.workers <= 1 or len(jobs) < self._min_parallel(jobs):
             return self._run_inline(jobs)

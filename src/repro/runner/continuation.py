@@ -73,11 +73,6 @@ class ContinuationJob:
     #: bundle amortizes its dispatch overhead by construction).
     heavy: ClassVar[bool] = True
 
-    @property
-    def resume_count(self) -> int:
-        """Runs this bundle executes (one result each)."""
-        return len(self.runs)
-
     def execute(
         self, cache: Optional["ResultCache"] = None
     ) -> Tuple[SimResult, ...]:

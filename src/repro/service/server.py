@@ -384,7 +384,6 @@ class ReproService:
             "queued_flights": len(self._backlog),
             "open_flights": len(self._flights),
             **self.stats,
-            "runner_jobs": getattr(self.runner, "jobs_run", None),
             "frame_entries": len(self._frames),
             "frame_bytes": self._frame_bytes,
             "cache_entries": len(self.cache) if self.cache is not None else None,

@@ -1,19 +1,18 @@
 """Packed trace columns and the content-addressed on-disk trace store.
 
-A generated :class:`~repro.trace.stream.Trace` is a list of 7-int tuples
-— compact for the simulator's fetch loop but expensive to *regenerate*:
-the synthetic walk costs ~10 ms per 6k-instruction window, and every
-BatchRunner worker used to pay it again for every trace it touched.
-
-:class:`PackedTrace` stores the same stream as seven flat little arrays
-(one int64 column per tuple field, entries and wrong-path junk pool
-alike). Columns round-trip exactly (``list(zip(*columns))`` rebuilds the
-original tuples) and serialize as raw buffers:
+:class:`PackedTrace` is the one form a :class:`~repro.trace.stream.Trace`
+holds its stream in: seven flat int64 columns (one per tuple field
+``(op, dest, src1, src2, addr, taken, pc)``), for the correct-path
+entries and the wrong-path junk pool alike. Packing is exact
+(``list(zip(*columns))`` rebuilds the original tuples), and the columns
+serialize as raw buffers:
 
 * :class:`PackedTraceStore` is a content-addressed directory of packed
   traces, keyed by the SHA-256 of the trace identity (benchmark, window
   length, instance) plus :data:`PACK_FORMAT_VERSION`. Writes are atomic
-  so concurrent workers can share one store.
+  so concurrent workers can share one store. Generating a window costs
+  ~10 ms per 6k instructions; a store lets every BatchRunner worker
+  skip it.
 * :meth:`PackedTraceStore.load` maps the file with ``mmap`` and exposes
   the columns as zero-copy ``memoryview`` casts — a cold worker gets a
   usable trace for the cost of an ``open``, and the OS page cache shares
@@ -36,7 +35,7 @@ import sys
 from array import array
 from hashlib import sha256
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.ioutil import atomic_write_bytes
 from repro.isa.instruction import TraceEntry
@@ -62,8 +61,10 @@ _ITEM = 8  # bytes per column element (int64)
 
 
 def _columns_from_entries(entries: Sequence[TraceEntry]) -> Tuple[array, ...]:
-    """Transpose tuples into int64 columns (exact, order-preserving)."""
-    return tuple(array("q", col) for col in zip(*entries))
+    """Transpose tuples into int64 columns (exact, order-preserving);
+    no entries give seven empty columns."""
+    cols = tuple(zip(*entries)) or ((),) * NUM_COLUMNS
+    return tuple(array("q", col) for col in cols)
 
 
 class PackedTrace:
@@ -110,31 +111,8 @@ class PackedTrace:
 
     @classmethod
     def from_trace(cls, trace) -> "PackedTrace":
-        """Pack a :class:`~repro.trace.stream.Trace` (or reuse its backing)."""
-        packed = getattr(trace, "packed", None)
-        if packed is not None:
-            return packed
-        return cls.from_entries(trace.name, trace.entries, trace.junk)
-
-    # -- element access ----------------------------------------------------
-
-    def entry(self, index: int) -> TraceEntry:
-        """Entry ``index`` as the simulator's 7-tuple (built on demand)."""
-        c = self.columns
-        return (c[0][index], c[1][index], c[2][index], c[3][index],
-                c[4][index], c[5][index], c[6][index])
-
-    def junk_entry(self, index: int) -> TraceEntry:
-        c = self.junk_columns
-        return (c[0][index], c[1][index], c[2][index], c[3][index],
-                c[4][index], c[5][index], c[6][index])
-
-    def materialize_entries(self) -> List[TraceEntry]:
-        """The full correct-path tuple list (exact round trip)."""
-        return list(zip(*self.columns))
-
-    def materialize_junk(self) -> List[TraceEntry]:
-        return list(zip(*self.junk_columns))
+        """The columns backing a :class:`~repro.trace.stream.Trace`."""
+        return trace.packed
 
     # -- serialization -----------------------------------------------------
 

@@ -79,22 +79,22 @@ def profile_benchmark(
     if params is None and key in _CACHE:
         return _CACHE[key]
     trace = transient_trace(name, length)
+    columns = trace.packed.columns
+    ops, addrs = columns[0], columns[4]
     mem = MemoryHierarchy(params, max_threads=1)
     # Warm-up pass.
-    for e in trace.entries:
-        op = e[0]
+    for op, addr in zip(ops, addrs):
         if op == OP_LOAD or op == OP_STORE:
-            mem.l1d.access(e[4], 0)
+            mem.l1d.access(addr, 0)
     l1_before = mem.l1d.stats.misses
     l2_before = mem.l2.stats.misses
     acc_before = mem.l1d.stats.accesses
-    # Measured pass.
-    for e in trace.entries:
-        op = e[0]
+    # Measured pass: loads and stores walk DTLB -> L1D -> (miss) L2.
+    for op, addr in zip(ops, addrs):
         if op == OP_LOAD:
-            mem.load(e[4], 0)
+            mem.load_latency(addr, 0)
         elif op == OP_STORE:
-            mem.store(e[4], 0)
+            mem.retire_store(addr, 0)
     prof = DCacheProfile(
         benchmark=name,
         instructions=trace.length,

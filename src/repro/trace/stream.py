@@ -1,8 +1,8 @@
 """Trace objects consumed by the simulator, with a process-wide cache.
 
 A :class:`Trace` bundles the correct-path entries, a wrong-path junk pool
-and the benchmark identity. Entry access wraps modulo the generated length
-— the synthetic streams are stationary, so wrapping mimics the paper's
+and the benchmark identity. Fetch wraps modulo the generated length —
+the synthetic streams are stationary, so wrapping mimics the paper's
 practice of letting slower threads keep executing until the first thread
 retires its full instruction budget.
 
@@ -17,31 +17,33 @@ eviction comes back from the active store (an mmap) or, without one, is
 generated again. :func:`transient_trace` serves one-pass readers such as
 the profile pass without entering the memo at all.
 
+A :class:`Trace` holds its stream in one form: the packed int64 columns
+of a :class:`~repro.trace.packed.PackedTrace`. A generated (or
+composite, or hand-built) stream is packed once when its Trace is
+built; the tuple lists are not kept.
+
 A process may additionally activate a :class:`~repro.trace.packed.
 PackedTraceStore` via :func:`set_trace_store`: ``trace_for`` then serves
 cache misses from the store's mmap-backed packed buffers before falling
 back to :class:`~repro.trace.synthetic.TraceGenerator` — this is how
-BatchRunner workers skip trace generation entirely. Store-served traces
-are *packed-backed*: ``Trace.entry`` reads straight out of the shared
-buffers (zero copy).
+BatchRunner workers skip trace generation entirely. A store-served
+Trace reads its columns straight out of the shared buffers (zero copy).
 
 The simulator's fetch engine reads traces through :meth:`Trace.
 fetch_view`: per-trace block tables whose :data:`FETCH_BLOCK`-entry
-blocks decode lazily from the packed int64 columns (or slice out of the
-explicit tuple lists) the first time fetch touches them. A short
-screening run on a store-served trace therefore decodes only the prefix
-it actually fetches — the full tuple lists never materialize — while a
-full-length run amortizes exactly one decode per block and keeps
-list-indexed access speed in the hot loop. Decoded blocks are cached on
-the Trace, so the oracle sweeps that re-simulate one workload dozens of
-times decode each block once per process.
+blocks decode lazily from the columns the first time fetch touches
+them. A short screening run therefore decodes only the prefix it
+actually fetches, while a full-length run amortizes exactly one decode
+per block and keeps list-indexed access speed in the hot loop. Decoded
+blocks are cached on the Trace, so the oracle sweeps that re-simulate
+one workload dozens of times decode each block once per process.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import TraceEntry
 from repro.trace.benchmarks import BenchmarkProfile, get_benchmark
@@ -84,100 +86,51 @@ def _transpose_block(c, lo: int, hi: int) -> List[TraceEntry]:
 class Trace:
     """An immutable dynamic instruction stream for one thread.
 
-    Backed either by explicit tuple lists (``entries``/``junk``) or by a
-    :class:`~repro.trace.packed.PackedTrace` (``packed=``), in which case
-    the tuple lists materialize lazily and :meth:`entry` serves reads
-    directly from the packed columns until then.
+    Backed by one :class:`~repro.trace.packed.PackedTrace`: tuple lists
+    (generated, composite or hand-built streams) are packed once at
+    construction; store-served traces pass their mmap-backed columns as
+    ``packed=``. Every read goes through the columns.
     """
 
     __slots__ = ("name", "profile", "length", "junk_length", "packed", "key",
-                 "_entries", "_junk", "_warm_seqs", "_entry_blocks",
-                 "_junk_blocks")
+                 "_warm_seqs", "_entry_blocks", "_junk_blocks")
 
     def __init__(
         self,
         name: str,
         profile: BenchmarkProfile,
-        entries: Optional[List[TraceEntry]] = None,
-        junk: Optional[List[TraceEntry]] = None,
+        entries: Optional[Sequence[TraceEntry]] = None,
+        junk: Optional[Sequence[TraceEntry]] = None,
         *,
         packed: Optional[PackedTrace] = None,
         key: Optional[Tuple[str, int, int]] = None,
     ) -> None:
         if packed is None:
-            if not entries:
-                raise ValueError("trace must contain at least one instruction")
-            if not junk:
-                raise ValueError("trace needs a wrong-path junk pool")
-            self.length = len(entries)
-            self.junk_length = len(junk)
-        else:
-            # PackedTrace's constructor enforces non-empty entries/junk.
-            self.length = packed.length
-            self.junk_length = packed.junk_length
+            # PackedTrace's constructor rejects empty entries/junk.
+            packed = PackedTrace.from_entries(name, entries or (), junk or ())
         self.name = name
         self.profile = profile
         self.packed = packed
+        self.length = packed.length
+        self.junk_length = packed.junk_length
         self.key = key  # (name, length, instance) when built by trace_for
-        self._entries = entries
-        self._junk = junk
         self._warm_seqs: Optional[WarmSequences] = None
         self._entry_blocks: Optional[List[Optional[List[TraceEntry]]]] = None
         self._junk_blocks: Optional[List[Optional[List[TraceEntry]]]] = None
 
-    # -- lazy materialization ---------------------------------------------
-
-    @property
-    def entries(self) -> List[TraceEntry]:
-        """Correct-path tuple list (materialized from packed on first use)."""
-        e = self._entries
-        if e is None:
-            e = self.packed.materialize_entries()
-            self._entries = e
-        return e
-
-    @property
-    def junk(self) -> List[TraceEntry]:
-        """Wrong-path pool tuple list (materialized on first use)."""
-        j = self._junk
-        if j is None:
-            j = self.packed.materialize_junk()
-            self._junk = j
-        return j
-
-    # -- element access ----------------------------------------------------
-
-    def entry(self, index: int) -> TraceEntry:
-        """Correct-path entry ``index`` (wraps modulo the trace length)."""
-        e = self._entries
-        if e is not None:
-            return e[index % self.length]
-        return self.packed.entry(index % self.length)
-
     def next_pc(self, index: int) -> int:
         """PC of the instruction after ``index`` — i.e. the actual target
         of the instruction at ``index`` along the executed path."""
-        i = (index + 1) % self.length
-        e = self._entries
-        if e is not None:
-            return e[i][6]
-        return self.packed.columns[6][i]
+        return self.packed.columns[6][(index + 1) % self.length]
 
-    def junk_entry(self, index: int) -> TraceEntry:
-        """Wrong-path pool entry (wraps)."""
-        j = self._junk
-        if j is not None:
-            return j[index % self.junk_length]
-        return self.packed.junk_entry(index % self.junk_length)
-
-    # -- column-backed fetch views -----------------------------------------
+    # -- fetch views -------------------------------------------------------
 
     def fetch_view(self) -> Tuple[list, list]:
         """``(entry_blocks, junk_blocks)`` block tables for the fetch
         engine: entry ``i`` lives at ``entry_blocks[i >> FETCH_SHIFT]
         [i & FETCH_MASK]``. Slots start ``None`` and fill via
         :meth:`entry_block` / :meth:`junk_block` the first time fetch
-        touches them — no full-trace tuple-list materialization.
+        touches them.
         """
         blocks = self._entry_blocks
         if blocks is None:
@@ -191,17 +144,11 @@ class Trace:
     def entry_block(self, block: int) -> List[TraceEntry]:
         """Decode (and cache) correct-path block ``block``: an exact
         tuple-for-tuple window of the stream, built by one C-speed
-        transpose of the packed int64 column slices (or sliced straight
-        out of the explicit tuple list when one exists)."""
+        transpose of the packed int64 column slices."""
         if self._entry_blocks is None:
             self.fetch_view()
         lo = block << FETCH_SHIFT
-        hi = lo + FETCH_BLOCK
-        e = self._entries
-        if e is not None:
-            blk = e[lo:hi]
-        else:
-            blk = _transpose_block(self.packed.columns, lo, hi)
+        blk = _transpose_block(self.packed.columns, lo, lo + FETCH_BLOCK)
         self._entry_blocks[block] = blk
         return blk
 
@@ -210,27 +157,15 @@ class Trace:
         if self._junk_blocks is None:
             self.fetch_view()
         lo = block << FETCH_SHIFT
-        hi = lo + FETCH_BLOCK
-        j = self._junk
-        if j is not None:
-            blk = j[lo:hi]
-        else:
-            blk = _transpose_block(self.packed.junk_columns, lo, hi)
+        blk = _transpose_block(self.packed.junk_columns, lo, lo + FETCH_BLOCK)
         self._junk_blocks[block] = blk
         return blk
-
-    # -- derived views -----------------------------------------------------
 
     def warm_sequences(self) -> WarmSequences:
         """Per-structure warm-up access sequences (computed once)."""
         seqs = self._warm_seqs
         if seqs is None:
-            packed = self.packed
-            if packed is None:
-                packed = PackedTrace.from_entries(self.name, self._entries,
-                                                  self._junk)
-                self.packed = packed
-            seqs = warm_sequences(packed)
+            seqs = warm_sequences(self.packed)
             self._warm_seqs = seqs
         return seqs
 
@@ -336,9 +271,6 @@ def _build_trace(key: Tuple[str, int, int], save: bool) -> Trace:
     junk = gen.generate_junk(_JUNK_LEN)
     trace = Trace(name, profile, entries, junk, key=key)
     if save and store is not None and store.save_on_generate:
-        # Keep the packed form: warm_sequences() reads it instead of
-        # packing the same entries again.
-        trace.packed = PackedTrace.from_trace(trace)
         store.save(trace.packed, name, length, instance)
     return trace
 

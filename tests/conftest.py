@@ -72,6 +72,24 @@ def hand_trace():
 
 
 @pytest.fixture(scope="session")
+def generated_stream():
+    """``make(name, length, instance=0)``: the ``(entries, junk)`` tuple
+    lists :class:`~repro.trace.synthetic.TraceGenerator` itself emits
+    for the window ``trace_for(name, length, instance)`` holds — the
+    reference a Trace's packed columns must decode back to."""
+    from repro.trace.benchmarks import get_benchmark
+    from repro.trace.stream import _JUNK_LEN
+    from repro.trace.synthetic import StaticProgram, TraceGenerator
+
+    def make(name, length, instance=0):
+        gen = TraceGenerator(StaticProgram(get_benchmark(name), seed=0),
+                             seed=instance)
+        return gen.generate(length), gen.generate_junk(_JUNK_LEN)
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def tiny_traces():
     """Factory for small *generated* traces: ``make(("gzip", "mcf"))``
     returns one memoized synthetic trace per benchmark name."""

@@ -108,8 +108,9 @@ def test_composite_trace_changes_memory_behaviour():
     """Phase B (mcf) must produce far more distinct data pages than
     phase A (gzip)."""
     t = composite_trace("gzip", "mcf", 8000, switch_at=4000)
+    entries = list(zip(*t.packed.columns))
     def pages(entries):
         return {e[4] >> 13 for e in entries if e[0] in (3, 4) and e[4]}
-    a = pages(t.entries[:4000])
-    b = pages(t.entries[4000:])
+    a = pages(entries[:4000])
+    b = pages(entries[4000:])
     assert len(b) > 2 * len(a)

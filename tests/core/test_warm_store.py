@@ -115,9 +115,9 @@ def test_hand_built_traces_skip_the_warm_store(tmp_path):
     from repro.trace.benchmarks import get_benchmark
     from repro.trace.stream import Trace
 
-    base = trace_for("gzip", 2000)
-    hand = Trace("hand", get_benchmark("gzip"), list(base.entries),
-                 list(base.junk))
+    base = trace_for("gzip", 2000).packed
+    hand = Trace("hand", get_benchmark("gzip"), list(zip(*base.columns)),
+                 list(zip(*base.junk_columns)))
     assert hand.key is None
     set_warm_store(str(tmp_path))
     proc = Processor(get_config("M8"), [hand], (0,), 500)

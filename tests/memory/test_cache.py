@@ -59,12 +59,6 @@ def test_probe_does_not_allocate():
     assert c.stats.accesses == 0
 
 
-def test_bank_mapping_spreads():
-    c = make(banks=8)
-    banks = {c.bank_of(i * 64) for i in range(16)}
-    assert banks == set(range(8))
-
-
 def test_invalidate_all():
     c = make()
     c.access(0x1000)

@@ -4,9 +4,8 @@ The packed subsystem's license to exist is losslessness (see
 tests/trace/test_packed.py for the example-based suite). Here hypothesis
 drives *randomized* traces — arbitrary int64 column values, arbitrary
 lengths, degenerate single-entry streams — through the full journey the
-production path takes: pack → serialize → store → mmap → ``entry()`` /
-block decode, asserting tuple-for-tuple equality at every hop and that
-store-served access stays lazy (no tuple-list materialization).
+production path takes: pack → serialize → store → mmap → block decode,
+asserting tuple-for-tuple equality at every hop.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -28,19 +27,19 @@ _small_entries = st.lists(_entry, min_size=1, max_size=40)
 _PROF = get_benchmark("gzip")
 
 
+def _tuples(columns):
+    """Decode int64 columns back into entry tuples."""
+    return list(zip(*columns))
+
+
 @given(_entries, _small_entries)
 @settings(max_examples=60, deadline=None)
 def test_pack_roundtrip_exact(entries, junk):
     packed = PackedTrace.from_entries("rand", entries, junk)
     assert packed.length == len(entries)
     assert packed.junk_length == len(junk)
-    assert packed.materialize_entries() == entries
-    assert packed.materialize_junk() == junk
-    # Element access without materialization.
-    for i in (0, len(entries) // 2, len(entries) - 1):
-        assert packed.entry(i) == entries[i]
-    for i in (0, len(junk) - 1):
-        assert packed.junk_entry(i) == junk[i]
+    assert _tuples(packed.columns) == entries
+    assert _tuples(packed.junk_columns) == junk
 
 
 @given(_entries, _small_entries)
@@ -49,15 +48,15 @@ def test_serialized_roundtrip_exact(entries, junk):
     packed = PackedTrace.from_entries("rand", entries, junk)
     again = PackedTrace.from_buffer(packed.to_bytes())
     assert again.name == "rand"
-    assert again.materialize_entries() == entries
-    assert again.materialize_junk() == junk
+    assert _tuples(again.columns) == entries
+    assert _tuples(again.junk_columns) == junk
 
 
 @given(_entries, _small_entries, st.integers(min_value=0, max_value=1 << 20))
 @settings(max_examples=25, deadline=None)
 def test_store_mmap_roundtrip_exact(tmp_path_factory, entries, junk, instance):
-    """pack → save → mmap-load → entry(): values, ordering and lazy
-    backing all survive the on-disk trip."""
+    """pack → save → mmap-load: values and ordering survive the on-disk
+    trip."""
     store = PackedTraceStore(tmp_path_factory.mktemp("store"))
     packed = PackedTrace.from_entries("rand", entries, junk)
     store.save(packed, "rand", len(entries), instance)
@@ -65,24 +64,13 @@ def test_store_mmap_roundtrip_exact(tmp_path_factory, entries, junk, instance):
     assert loaded is not None
     # Zero-copy backing: mmap-served columns are memoryviews, and the
     # entries come back identical element-by-element *in order*.
+    assert isinstance(loaded.columns[0], memoryview)
     assert loaded.length == len(entries)
-    for i in range(len(entries)):
-        assert loaded.entry(i) == entries[i]
-    for i in range(len(junk)):
-        assert loaded.junk_entry(i) == junk[i]
-    assert loaded.materialize_entries() == entries
+    assert _tuples(loaded.columns) == entries
+    assert _tuples(loaded.junk_columns) == junk
 
 
-@given(_entries, _small_entries)
-@settings(max_examples=25, deadline=None)
-def test_block_decoded_fetch_view_matches_entries(entries, junk):
-    """The fetch engine's lazily-decoded blocks reproduce the stream
-    exactly, and a packed-backed Trace serves them without ever
-    materializing the full tuple lists."""
-    packed = PackedTrace.from_buffer(
-        PackedTrace.from_entries("rand", entries, junk).to_bytes()
-    )
-    trace = Trace("rand", _PROF, packed=packed)
+def _assert_blocks_match(trace, entries, junk):
     eblocks, jblocks = trace.fetch_view()
     for i in range(len(entries)):
         blk = eblocks[i >> FETCH_SHIFT]
@@ -94,9 +82,18 @@ def test_block_decoded_fetch_view_matches_entries(entries, junk):
         if blk is None:
             blk = trace.junk_block(i >> FETCH_SHIFT)
         assert blk[i & FETCH_MASK] == junk[i]
-    # Lazy backing held: the tuple lists never materialized.
-    assert trace._entries is None
-    assert trace._junk is None
+
+
+@given(_entries, _small_entries)
+@settings(max_examples=25, deadline=None)
+def test_block_decoded_fetch_view_matches_entries(entries, junk):
+    """The fetch engine's lazily-decoded blocks reproduce the stream
+    exactly, for a Trace packed from tuple lists and for one over
+    serialized columns."""
+    trace = Trace("rand", _PROF, entries, junk)
+    _assert_blocks_match(trace, entries, junk)
+    packed = PackedTrace.from_buffer(trace.packed.to_bytes())
+    _assert_blocks_match(Trace("rand", _PROF, packed=packed), entries, junk)
 
 
 @given(_entry, _entry)
@@ -106,12 +103,10 @@ def test_single_entry_trace_roundtrip(entry, junk_entry):
     full journey, wrap-around indexing included."""
     packed = PackedTrace.from_entries("one", [entry], [junk_entry])
     again = PackedTrace.from_buffer(packed.to_bytes())
-    assert again.entry(0) == entry
-    assert again.junk_entry(0) == junk_entry
     trace = Trace("one", _PROF, packed=again)
-    assert trace.entry(0) == entry
-    assert trace.entry(5) == entry  # modulo wrap
-    assert trace.next_pc(0) == entry[6]
+    assert trace.entry_block(0) == [entry]
+    assert trace.junk_block(0) == [junk_entry]
+    assert trace.next_pc(0) == trace.next_pc(5) == entry[6]  # modulo wrap
 
 
 def test_empty_traces_are_rejected():

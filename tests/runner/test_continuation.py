@@ -56,7 +56,7 @@ def test_bundles_partition_the_plan_exactly(n_runs, bundle_count):
                   key=lambda r: r.commit_target)
     assert flat == runs
     # Resume counts cover the plan exactly.
-    assert sum(job.resume_count for job in jobs) == n_runs
+    assert sum(len(job.runs) for job in jobs) == n_runs
 
 
 def test_bundle_count_must_be_positive():
@@ -98,7 +98,7 @@ def test_bundled_runs_equal_run_simulation(tiny_scale):
     )
     job = ContinuationJob(runs=runs)
     results = job.execute()
-    assert len(results) == job.resume_count == 2
+    assert len(results) == len(job.runs) == 2
     for run, result in zip(runs, results):
         ref = run_simulation(run.config, run.benchmarks, run.mapping,
                              run.commit_target)
@@ -218,7 +218,7 @@ def test_sweep_resume_counts_match_exact_mode_run_counts(tiny_scale):
         len(dict.fromkeys([p.heur_map, p.best_map, p.worst_map]))
         for p in screened
     )
-    assert sum(j.resume_count for j in phase2) == expected
+    assert sum(len(j.runs) for j in phase2) == expected
     # The bundled runs are exactly the planned (pair, mapping) requests.
     planned = {
         (p.config_name, p.workload.benchmarks, m)

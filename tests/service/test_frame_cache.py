@@ -88,7 +88,7 @@ def test_repeat_requests_served_from_frame_tier(runner, tmp_path):
     assert stats["executed"] == 1
     assert stats["frame_served"] == 2
     assert stats["cache_served"] == 2  # frame hits are warm hits
-    assert runner.jobs_run == 1
+    assert runner.report.jobs == 1
     # Frame hits never re-keyed through the result cache: its counters
     # show only the cold flight's probes (the service's warm-tier miss
     # plus the runner's own pre-execution miss), nothing from the two

@@ -62,7 +62,7 @@ class GatedRunner:
             raise TimeoutError("test gate never released")
         return self.inner.run(jobs)
 
-    def __getattr__(self, name):  # report, jobs_run, cache, close, ...
+    def __getattr__(self, name):  # report, cache, close, ...
         return getattr(self.inner, name)
 
 
@@ -239,7 +239,7 @@ def test_warm_request_is_byte_identical_and_skips_pool(runner, tmp_path):
     assert raw[0] == raw[1]  # warm response byte-identical to cold
     assert stats["executed"] == 1
     assert stats["cache_served"] == 1
-    assert runner.jobs_run == 1  # the warm request never touched the pool
+    assert runner.report.jobs == 1  # the warm request never touched the pool
 
 
 def test_distinct_requests_do_not_coalesce(runner, tmp_path):
@@ -559,7 +559,6 @@ def test_status_reports_counters_and_run_report(runner, tmp_path):
     status = serve(runner, scenario, tmp_path)
     stats = status["stats"]
     assert stats["executed"] == 1
-    assert stats["runner_jobs"] == 1
     assert stats["cache_entries"] == 1
     assert stats["report"]["jobs"] == 1
     assert stats["versions"]["protocol"] == 1

@@ -6,10 +6,16 @@ tuple equality including the wrong-path junk pool, across every benchmark
 profile, through bytes, files and mmap alike.
 """
 
+from array import array
+
 import pytest
 
+from repro.core.config import get_config
+from repro.core.engine import Processor
+from repro.core.simulation import run_simulation
 from repro.isa.opcodes import OP_BRANCH, OP_CALL, OP_LOAD, OP_RETURN, OP_STORE
-from repro.trace.benchmarks import BENCHMARK_NAMES
+from repro.trace.benchmarks import BENCHMARK_NAMES, get_benchmark
+from repro.trace.composite import composite_trace
 from repro.trace.packed import (
     PACK_FORMAT_VERSION,
     PackedTrace,
@@ -18,14 +24,22 @@ from repro.trace.packed import (
     warm_sequences,
 )
 from repro.trace.stream import (
+    FETCH_BLOCK,
     Trace,
     active_trace_store,
     clear_trace_cache,
     set_trace_store,
     trace_for,
 )
+from repro.trace.synthetic import StaticProgram, TraceGenerator
 
 _LEN = 1500
+
+
+def _tuples(columns):
+    """Decode int64 columns back into entry tuples."""
+    return list(zip(*columns))
+
 
 # Tests control the active store explicitly; the shared conftest fixture
 # deactivates it and drops the memo caches after every test.
@@ -36,56 +50,41 @@ pytestmark = pytest.mark.usefixtures("clean_sim_state")
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_round_trip_exact_for_every_profile(name):
-    """Trace -> packed -> Trace is entry-by-entry exact, junk included."""
+def test_round_trip_exact_for_every_profile(name, generated_stream):
+    """Generated tuples -> packed -> tuples is entry-by-entry exact,
+    junk included."""
+    entries, junk = generated_stream(name, _LEN)
     trace = trace_for(name, _LEN)
     packed = PackedTrace.from_trace(trace)
-    assert packed.materialize_entries() == trace.entries
-    assert packed.materialize_junk() == trace.junk
+    assert packed is trace.packed
+    assert _tuples(packed.columns) == entries
+    assert _tuples(packed.junk_columns) == junk
     # Through serialized bytes as well.
     again = PackedTrace.from_buffer(packed.to_bytes())
-    assert again.materialize_entries() == trace.entries
-    assert again.materialize_junk() == trace.junk
+    assert _tuples(again.columns) == entries
+    assert _tuples(again.junk_columns) == junk
     assert again.name == trace.name
 
 
-def test_single_entry_access_matches_lists():
-    trace = trace_for("gcc", _LEN)
-    packed = PackedTrace.from_trace(trace)
-    for i in (0, 1, 17, _LEN - 1):
-        assert packed.entry(i) == trace.entries[i]
-    for i in (0, 5, len(trace.junk) - 1):
-        assert packed.junk_entry(i) == trace.junk[i]
-
-
 def test_packed_backed_trace_is_lazy_and_exact():
-    """A packed-backed Trace serves entry()/next_pc() straight from the
-    columns before materializing, and materializes to identical lists."""
+    """A Trace over deserialized columns serves next_pc() and decodes
+    only the fetch blocks it is asked for, each equal to the generated
+    trace's."""
     base = trace_for("twolf", _LEN)
-    packed = PackedTrace.from_trace(base)
+    packed = PackedTrace.from_buffer(base.packed.to_bytes())
     lazy = Trace("twolf", base.profile, packed=packed)
-    # Zero-copy path (no materialization yet).
-    assert lazy._entries is None
-    assert lazy.entry(3) == base.entries[3]
-    assert lazy.entry(_LEN + 3) == base.entries[3]  # wraps
+    assert lazy.packed is packed
     assert lazy.next_pc(7) == base.next_pc(7)
-    assert lazy.junk_entry(11) == base.junk_entry(11)
-    assert lazy._entries is None
-    # Materialized path.
-    assert lazy.entries == base.entries
-    assert lazy.junk == base.junk
+    assert lazy.next_pc(_LEN + 7) == base.next_pc(7)  # wraps
+    eblocks, jblocks = lazy.fetch_view()
+    assert lazy.entry_block(1) == base.entry_block(1)
+    assert lazy.junk_block(0) == base.junk_block(0)
+    assert eblocks[0] is None and jblocks[1] is None  # untouched blocks
     assert len(lazy) == len(base)
 
 
-@pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_warm_sequences_match_a_per_entry_derivation(name):
-    """Each structure's warm stream is what a per-entry walk over the
-    trace's tuples issues, in program order: d-side addresses of loads
-    and stores, conditional-branch outcomes, taken control transfers
-    with the next entry's PC as target, every correct-path PC and every
-    wrong-path PC. In-process columns and mmap-style buffers agree."""
-    trace = trace_for(name, _LEN)
-    entries = trace.entries
+def _walk_warm_sequences(entries, junk):
+    """Each structure's warm stream as a per-entry walk over tuples."""
     n = len(entries)
     mem_addrs, branch_pcs, branch_taken, btb_pcs, btb_targets = [], [], [], [], []
     for i, (op, _dest, _src1, _src2, addr, taken, pc) in enumerate(entries):
@@ -97,16 +96,27 @@ def test_warm_sequences_match_a_per_entry_derivation(name):
         if op in (OP_BRANCH, OP_CALL, OP_RETURN) and taken:
             btb_pcs.append(pc)
             btb_targets.append(entries[(i + 1) % n][6])
-    expected = WarmSequences(
+    return WarmSequences(
         mem_addrs=mem_addrs,
         branch_pcs=branch_pcs,
         branch_taken=branch_taken,
         btb_pcs=btb_pcs,
         btb_targets=btb_targets,
         fetch_pcs=[e[6] for e in entries],
-        junk_pcs=[e[6] for e in trace.junk],
+        junk_pcs=[e[6] for e in junk],
     )
-    packed = PackedTrace.from_trace(trace)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_warm_sequences_match_a_per_entry_derivation(name, generated_stream):
+    """Each structure's warm stream is what a per-entry walk over the
+    generator's tuples issues, in program order: d-side addresses of
+    loads and stores, conditional-branch outcomes, taken control
+    transfers with the next entry's PC as target, every correct-path PC
+    and every wrong-path PC. In-process columns and mmap-style buffers
+    agree."""
+    expected = _walk_warm_sequences(*generated_stream(name, _LEN))
+    packed = PackedTrace.from_trace(trace_for(name, _LEN))
     assert warm_sequences(packed) == expected
     assert warm_sequences(PackedTrace.from_buffer(packed.to_bytes())) == expected
 
@@ -122,15 +132,16 @@ def test_empty_trace_rejected():
 # ------------------------------------------------------------------- store
 
 
-def test_store_save_load_mmap_exact(tmp_path):
+def test_store_save_load_mmap_exact(tmp_path, generated_stream):
+    entries, junk = generated_stream("vortex", _LEN)
     trace = trace_for("vortex", _LEN)
     store = PackedTraceStore(tmp_path)
     store.save(PackedTrace.from_trace(trace), "vortex", _LEN, 0)
-    assert store.contains("vortex", _LEN, 0, len(trace.junk))
-    loaded = store.load("vortex", _LEN, 0, len(trace.junk))
+    assert store.contains("vortex", _LEN, 0, len(junk))
+    loaded = store.load("vortex", _LEN, 0, len(junk))
     assert loaded is not None
-    assert loaded.materialize_entries() == trace.entries
-    assert loaded.materialize_junk() == trace.junk
+    assert _tuples(loaded.columns) == entries
+    assert _tuples(loaded.junk_columns) == junk
 
 
 def test_store_miss_and_corruption_degrade_to_none(tmp_path):
@@ -163,25 +174,92 @@ def test_store_key_depends_on_identity_and_format_version(monkeypatch):
     assert PackedTraceStore.trace_key("gcc", _LEN, 0, 2048) != k
 
 
-def test_trace_for_serves_from_store_exactly(tmp_path):
+def test_trace_for_serves_from_store_exactly(tmp_path, generated_stream):
     """trace_for through an activated store returns the identical stream
     a fresh generation would produce."""
-    reference = trace_for("parser", _LEN).entries
-    junk_ref = trace_for("parser", _LEN).junk
+    reference, junk_ref = generated_stream("parser", _LEN)
 
     # Generate-and-save into the store...
     clear_trace_cache()
     store = set_trace_store(tmp_path, save_on_generate=True)
     generated = trace_for("parser", _LEN)
-    assert generated.entries == reference
+    assert _tuples(generated.packed.columns) == reference
     assert len(store) == 1
 
     # ...then a "cold worker" (fresh cache) loads it back via mmap.
     clear_trace_cache()
     store = set_trace_store(tmp_path, save_on_generate=False)
     served = trace_for("parser", _LEN)
-    assert served.packed is not None  # came from the store
+    assert isinstance(served.packed.columns[0], memoryview)  # came from the store
     assert store.hits == 1
-    assert served.entries == reference
-    assert served.junk == junk_ref
+    assert _tuples(served.packed.columns) == reference
+    assert _tuples(served.packed.junk_columns) == junk_ref
     assert active_trace_store() is store
+
+
+# ------------------------------------------------------------- one backing
+
+
+def _held_tuple_lists(trace):
+    """Names of the trace's attributes holding a flat list of entry
+    tuples (the decoded fetch-block tables hold lists of blocks)."""
+    return [
+        slot for slot in type(trace).__slots__
+        if isinstance(getattr(trace, slot, None), list)
+        and isinstance(getattr(trace, slot)[0], tuple)
+    ]
+
+
+def _assert_one_backing(trace, entries, junk):
+    """``trace`` holds its stream only as its PackedTrace, and every
+    view of it equals a walk of the generator's own tuples."""
+    assert isinstance(trace.packed, PackedTrace)
+    assert _held_tuple_lists(trace) == []
+    eblocks, jblocks = trace.fetch_view()
+    assert any(eblocks), "the run fetched no block"
+    for b, blk in enumerate(eblocks):
+        window = entries[b * FETCH_BLOCK:(b + 1) * FETCH_BLOCK]
+        assert (blk or trace.entry_block(b)) == window
+    for b, blk in enumerate(jblocks):
+        window = junk[b * FETCH_BLOCK:(b + 1) * FETCH_BLOCK]
+        assert (blk or trace.junk_block(b)) == window
+    n = len(entries)
+    assert [trace.next_pc(i) for i in range(n)] == [
+        entries[(i + 1) % n][6] for i in range(n)
+    ]
+    assert trace.warm_sequences() == _walk_warm_sequences(entries, junk)
+
+
+def test_every_trace_holds_only_its_packed_columns(tmp_path, generated_stream):
+    """After an 8,000-commit run, a generated, a store-served and a
+    composite trace each hold their stream only as packed columns."""
+    target = 8000
+    entries, junk = generated_stream("gzip", target)
+
+    set_trace_store(tmp_path, save_on_generate=True)
+    run_simulation("M8", ("gzip", "mcf"), (0, 0), target)
+    generated = trace_for("gzip", target)
+    assert isinstance(generated.packed.columns[0], array)
+    _assert_one_backing(generated, entries, junk)
+
+    clear_trace_cache()
+    store = set_trace_store(tmp_path, save_on_generate=False)
+    run_simulation("M8", ("gzip", "mcf"), (0, 0), target)
+    served = trace_for("gzip", target)
+    assert store.hits == 2
+    assert isinstance(served.packed.columns[0], memoryview)
+    _assert_one_backing(served, entries, junk)
+
+    # composite_trace's phases: gzip's walk, then mcf's from its own
+    # program region, each with half of the junk pool.
+    gen_a = TraceGenerator(StaticProgram(get_benchmark("gzip"), seed=0), seed=0)
+    gen_b = TraceGenerator(StaticProgram(get_benchmark("mcf"), seed=1), seed=1)
+    phase_a = gen_a.generate(3000)
+    phase_b = gen_b.generate(target - 3000)
+    junk_ab = gen_a.generate_junk(1024) + gen_b.generate_junk(1024)
+    composite = composite_trace("gzip", "mcf", target, switch_at=3000)
+    proc = Processor(get_config("M8"), [composite], (0,), target)
+    proc.warm()
+    proc.run()
+    assert max(proc.committed) >= target
+    _assert_one_backing(composite, phase_a + phase_b, junk_ab)
