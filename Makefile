@@ -19,8 +19,10 @@
 #                 worker-memory probes: no finished Processor may stay
 #                 alive in a worker whose cyclic GC is off, and
 #                 test_pool_workers_hold_bounded_memos: each worker's
-#                 trace and warm memos stay within their bounds and hold
-#                 no profile-length trace; the CI chaos lane)
+#                 trace and warm memos stay within their bounds, hold
+#                 no profile-length trace, and no memoized trace keeps
+#                 warm-up sequences after the prep jobs or the bundle;
+#                 the CI chaos lane)
 #   make ci       every CI lane that needs no extra package: the tier-1
 #                 suite, the chaos and perfbench lanes, then the
 #                 figures-smoke lane as CI runs it: a screening sweep,

@@ -3,7 +3,7 @@ Multithreading Architecture* (Acosta, Falcon, Ramirez, Valero; ICPP 2005).
 
 The package implements the paper's hdSMT architecture end to end: a
 trace-driven, cycle-level multipipeline SMT simulator (SMTSIM-style) with
-perceptron branch prediction, a banked two-level memory hierarchy, the
+perceptron branch prediction, a two-level memory hierarchy, the
 ICOUNT/FLUSH/L1MCOUNT fetch policies, the profile-based thread-to-pipeline
 mapping heuristic with oracle BEST/WORST brackets, the Karlsruhe-style
 area cost model, and synthetic SPECint2000 workloads.

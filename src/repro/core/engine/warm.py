@@ -32,7 +32,7 @@ from typing import Optional
 from repro.branch.unit import BranchUnit
 from repro.ioutil import atomic_write_bytes
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.trace.packed import PACK_FORMAT_VERSION
+from repro.trace.packed import PACK_FORMAT_VERSION, warm_sequences
 
 __all__ = [
     "set_warm_store",
@@ -92,7 +92,11 @@ def _warm_key(memory_params, num_threads: int, traces) -> tuple:
 def _stream_warm(mem: MemoryHierarchy, unit: BranchUnit, traces) -> None:
     """Stream every trace's batched per-structure warm sequences into the
     given hierarchy/branch unit (the vectorized warm pass; see
-    :func:`warm` for the bit-identity argument)."""
+    :func:`warm` for the bit-identity argument).
+
+    The sequences are derived from one trace's packed columns at a time
+    and dropped before the next trace's: no Trace keeps them, since the
+    resulting state is memoized as a snapshot."""
     dtlb = mem.dtlb
     l1d = mem.l1d
     l2 = mem.l2
@@ -101,7 +105,7 @@ def _stream_warm(mem: MemoryHierarchy, unit: BranchUnit, traces) -> None:
     predictor = unit.predictor
     btb = unit.btb
     for t, trace in enumerate(traces):
-        seqs = trace.warm_sequences()
+        seqs = warm_sequences(trace.packed)
         # D-side: DTLB translation stream; L1D probes; L2 sees the L1D
         # misses (in program order, as the per-entry loop did).
         dtlb.access_many(seqs.mem_addrs, t)
@@ -120,6 +124,8 @@ def _stream_warm(mem: MemoryHierarchy, unit: BranchUnit, traces) -> None:
         itlb.access_many(seqs.junk_pcs, t)
         junk_misses = l1i.access_many(seqs.junk_pcs, t, collect_misses=True)
         l2.access_many(junk_misses, t)
+        # Free this trace's sequences before the next trace's are built.
+        del seqs, d_misses, junk_misses
 
 
 def _dump_warm_state(mem: MemoryHierarchy, unit: BranchUnit) -> tuple:
@@ -215,9 +221,10 @@ def warm(self) -> None:
     by the caller via fresh counters (see ``run_simulation``).
 
     The warm pass is *vectorized*: instead of dispatching on every
-    trace entry, each structure consumes its precomputed access
-    sequence (:meth:`Trace.warm_sequences`, derived from the packed
-    columns) in one batched call. The modeled structures are mutually
+    trace entry, each structure consumes its access sequence in one
+    batched call. The sequences are derived from each trace's packed
+    columns (:func:`~repro.trace.packed.warm_sequences`) for this pass
+    only and dropped with it. The modeled structures are mutually
     independent and every structure sees exactly the per-entry loop's
     access subsequence in the same order, so the post-warm state is
     bit-identical to the seed implementation — the golden-equivalence

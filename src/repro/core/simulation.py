@@ -12,8 +12,9 @@ served by lazily-decoded blocks over the packed int64 columns
 tuple lists, so a BatchRunner worker serving traces from the store
 (mmap-backed) pays page-cache reads, not per-trace decode, and a short
 screening run decodes only the prefix it actually fetches. The
-warm pass consumes the same columns through
-:meth:`~repro.trace.stream.Trace.warm_sequences`.
+warm pass derives its access sequences from the same columns
+(:func:`~repro.trace.packed.warm_sequences`) and drops them once the
+structures are warm.
 """
 
 from __future__ import annotations

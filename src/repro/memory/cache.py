@@ -1,10 +1,10 @@
-"""Set-associative, banked, write-allocate cache model.
+"""Set-associative, write-allocate cache model.
 
 Timing-directed rather than data-carrying: the simulator only needs
 hit/miss decisions, so lines store tags only. LRU is exact (2–4 ways in
 every configuration of the paper, so a recency list per set costs
-nothing). Each cache records the paper's "8 banks" as its geometry; bank
-conflicts are not charged.
+nothing). The paper's caches have 8 banks each; no bank conflict is
+modelled, so the bank count is not a parameter.
 
 The hot path is :meth:`SetAssociativeCache.access`: one shift, one mask,
 one short ``list.index`` scan per probe. Per the optimization guide the
@@ -39,7 +39,7 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """Tag-only set-associative cache with exact LRU and banking.
+    """Tag-only set-associative cache with exact LRU.
 
     Parameters
     ----------
@@ -49,9 +49,6 @@ class SetAssociativeCache:
         Associativity.
     line_bytes:
         Line size (power of two).
-    banks:
-        Number of independently-addressable banks (power of two);
-        recorded geometry, not a timing input.
     max_threads:
         Sizes the per-thread statistic arrays.
     name:
@@ -63,7 +60,6 @@ class SetAssociativeCache:
         "size_bytes",
         "ways",
         "line_bytes",
-        "banks",
         "num_sets",
         "_line_shift",
         "_set_mask",
@@ -78,14 +74,11 @@ class SetAssociativeCache:
         size_bytes: int,
         ways: int,
         line_bytes: int = 64,
-        banks: int = 8,
         max_threads: int = 8,
         name: str = "cache",
     ) -> None:
         if line_bytes & (line_bytes - 1):
             raise ValueError("line_bytes must be a power of two")
-        if banks & (banks - 1):
-            raise ValueError("banks must be a power of two")
         num_sets = size_bytes // (ways * line_bytes)
         if num_sets <= 0 or num_sets & (num_sets - 1):
             raise ValueError(
@@ -95,7 +88,6 @@ class SetAssociativeCache:
         self.size_bytes = size_bytes
         self.ways = ways
         self.line_bytes = line_bytes
-        self.banks = banks
         self.num_sets = num_sets
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = num_sets - 1
@@ -293,5 +285,5 @@ class SetAssociativeCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{self.name}: {self.size_bytes >> 10}KB {self.ways}-way "
-            f"{self.banks}-bank {self.line_bytes}B lines>"
+            f"{self.line_bytes}B lines>"
         )

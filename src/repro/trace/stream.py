@@ -20,7 +20,12 @@ the profile pass without entering the memo at all.
 A :class:`Trace` holds its stream in one form: the packed int64 columns
 of a :class:`~repro.trace.packed.PackedTrace`. A generated (or
 composite, or hand-built) stream is packed once when its Trace is
-built; the tuple lists are not kept.
+built; the tuple lists are not kept. The only other state a Trace
+carries is the fetch view's decoded blocks (below). The warm pass
+derives its access sequences from the columns
+(:func:`~repro.trace.packed.warm_sequences`) each time it streams a
+trace and drops them afterwards: the post-warm state is memoized as a
+snapshot, so the sequences are not needed again.
 
 A process may additionally activate a :class:`~repro.trace.packed.
 PackedTraceStore` via :func:`set_trace_store`: ``trace_for`` then serves
@@ -47,7 +52,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import TraceEntry
 from repro.trace.benchmarks import BenchmarkProfile, get_benchmark
-from repro.trace.packed import PackedTrace, PackedTraceStore, WarmSequences, warm_sequences
+from repro.trace.packed import PackedTrace, PackedTraceStore
 from repro.trace.synthetic import StaticProgram, TraceGenerator
 
 __all__ = [
@@ -89,11 +94,13 @@ class Trace:
     Backed by one :class:`~repro.trace.packed.PackedTrace`: tuple lists
     (generated, composite or hand-built streams) are packed once at
     construction; store-served traces pass their mmap-backed columns as
-    ``packed=``. Every read goes through the columns.
+    ``packed=``. Every read goes through the columns. Besides its
+    identity and the columns, a Trace holds only the two block tables
+    of its fetch view; it keeps no warm-up sequences.
     """
 
     __slots__ = ("name", "profile", "length", "junk_length", "packed", "key",
-                 "_warm_seqs", "_entry_blocks", "_junk_blocks")
+                 "_entry_blocks", "_junk_blocks")
 
     def __init__(
         self,
@@ -114,7 +121,6 @@ class Trace:
         self.length = packed.length
         self.junk_length = packed.junk_length
         self.key = key  # (name, length, instance) when built by trace_for
-        self._warm_seqs: Optional[WarmSequences] = None
         self._entry_blocks: Optional[List[Optional[List[TraceEntry]]]] = None
         self._junk_blocks: Optional[List[Optional[List[TraceEntry]]]] = None
 
@@ -160,14 +166,6 @@ class Trace:
         blk = _transpose_block(self.packed.junk_columns, lo, lo + FETCH_BLOCK)
         self._junk_blocks[block] = blk
         return blk
-
-    def warm_sequences(self) -> WarmSequences:
-        """Per-structure warm-up access sequences (computed once)."""
-        seqs = self._warm_seqs
-        if seqs is None:
-            seqs = warm_sequences(self.packed)
-            self._warm_seqs = seqs
-        return seqs
 
     def __len__(self) -> int:
         return self.length

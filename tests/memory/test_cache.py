@@ -5,8 +5,8 @@ import pytest
 from repro.memory.cache import SetAssociativeCache
 
 
-def make(size=64 * 1024, ways=2, line=64, banks=8):
-    return SetAssociativeCache(size, ways, line, banks, max_threads=4, name="t")
+def make(size=64 * 1024, ways=2, line=64):
+    return SetAssociativeCache(size, ways, line, max_threads=4, name="t")
 
 
 def test_geometry():
@@ -22,7 +22,7 @@ def test_miss_then_hit_same_line():
 
 
 def test_lru_within_set():
-    c = make(size=2 * 64 * 2, ways=2, line=64, banks=1)  # 2 sets, 2 ways
+    c = make(size=2 * 64 * 2, ways=2, line=64)  # 2 sets, 2 ways
     # Three lines mapping to set 0: stride = num_sets * line = 128.
     a, b, d = 0x0, 0x100, 0x200
     c.access(a)
@@ -35,7 +35,7 @@ def test_lru_within_set():
 
 
 def test_capacity_never_exceeded():
-    c = make(size=4096, ways=2, line=64, banks=1)
+    c = make(size=4096, ways=2, line=64)
     for i in range(1000):
         c.access(i * 64)
     assert c.occupancy() <= 4096 // 64
@@ -80,8 +80,6 @@ def test_validation():
         SetAssociativeCache(1000, 2, 64)  # bad set count
     with pytest.raises(ValueError):
         SetAssociativeCache(64 * 1024, 2, 60)  # line not power of 2
-    with pytest.raises(ValueError):
-        SetAssociativeCache(64 * 1024, 2, 64, banks=3)
 
 
 def test_storage_bits_reasonable():

@@ -131,3 +131,20 @@ def test_dcache_misses_per_thread(mem):
     mem.load_latency(0x1000, 1)
     assert mem.dcache_misses(1) == 1
     assert mem.dcache_misses(0) == 0
+
+
+def test_params_repr_keeps_the_key_text():
+    """Keys hash ``repr`` of a config object, so the text keeps the
+    paper's 8 banks after each cache's ways although no bank count is
+    a parameter, and it shows every field's value."""
+    assert repr(MemoryParams()) == (
+        "MemoryParams(l1i_size=65536, l1i_ways=2, l1i_banks=8, "
+        "l1d_size=65536, l1d_ways=2, l1d_banks=8, l2_size=524288, "
+        "l2_ways=2, l2_banks=8, line_bytes=64, l1_latency=3, "
+        "l1_miss_penalty=22, l2_latency=12, memory_latency=250, "
+        "itlb_entries=48, dtlb_entries=128, tlb_miss_penalty=300, "
+        "page_bytes=8192)"
+    )
+    assert "l1d_ways=4, l1d_banks=8," in repr(MemoryParams(l1d_ways=4))
+    with pytest.raises(TypeError):
+        MemoryParams(l1i_banks=8)

@@ -11,7 +11,7 @@ addrs = st.lists(st.integers(min_value=0, max_value=2**22), min_size=1, max_size
 @given(addrs)
 @settings(max_examples=40, deadline=None)
 def test_occupancy_never_exceeds_capacity(seq):
-    c = SetAssociativeCache(4096, 2, 64, banks=1, name="p")
+    c = SetAssociativeCache(4096, 2, 64, name="p")
     for a in seq:
         c.access(a)
     assert c.occupancy() <= 4096 // 64
@@ -21,7 +21,7 @@ def test_occupancy_never_exceeds_capacity(seq):
 @settings(max_examples=40, deadline=None)
 def test_second_access_always_hits(seq):
     """Immediately re-accessing any address must hit (LRU: MRU survives)."""
-    c = SetAssociativeCache(8192, 2, 64, banks=1, name="p")
+    c = SetAssociativeCache(8192, 2, 64, name="p")
     for a in seq:
         c.access(a)
         assert c.access(a) is True
@@ -30,7 +30,7 @@ def test_second_access_always_hits(seq):
 @given(addrs)
 @settings(max_examples=40, deadline=None)
 def test_stats_consistent(seq):
-    c = SetAssociativeCache(4096, 2, 64, banks=1, name="p", max_threads=1)
+    c = SetAssociativeCache(4096, 2, 64, name="p", max_threads=1)
     for a in seq:
         c.access(a, 0)
     st_ = c.stats
@@ -49,7 +49,7 @@ def test_misses_monotone_in_associativity(seq):
     weaker, always-true property: full-capacity cache never misses twice
     for the same line when the working set fits."""
     lines = {a >> 6 for a in seq}
-    big = SetAssociativeCache(1 << 22, 4, 64, banks=1, name="big")
+    big = SetAssociativeCache(1 << 22, 4, 64, name="big")
     misses = 0
     for a in seq:
         if not big.access(a):
@@ -60,7 +60,7 @@ def test_misses_monotone_in_associativity(seq):
 @given(addrs, st.integers(min_value=1, max_value=7))
 @settings(max_examples=40, deadline=None)
 def test_threads_never_false_share(seq, t):
-    c = SetAssociativeCache(1 << 22, 2, 64, banks=1, name="p")
+    c = SetAssociativeCache(1 << 22, 2, 64, name="p")
     for a in seq:
         c.access(a, 0)
     # A different thread sees cold lines for the same addresses.

@@ -27,6 +27,7 @@ from repro.runner.resilience import (
     _BatchState,
     _Flight,
 )
+from repro.trace.packed import WarmSequences
 from repro.trace.profiling import PROFILE_LENGTH, ProfileJob
 from repro.workloads.definitions import get_workload
 
@@ -407,13 +408,25 @@ def test_pool_workers_free_every_finished_simulation():
     assert [live for _, live in results] == [0, 0]
 
 
+def _traces_holding_warm_sequences(traces) -> int:
+    """How many of ``traces`` keep a WarmSequences in any attribute."""
+    return sum(
+        any(isinstance(getattr(t, slot, None), WarmSequences)
+            for slot in type(t).__slots__)
+        for t in traces
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class _MemoProbe:
     """Runs a bundle over several workloads and then the profile pass of
     one benchmark in whichever process executes it, and reports ``(pid,
-    memoized traces, warm snapshots, longest memoized trace)`` there.
-    Profiling last, a window the pass left in the memo would still be
-    there. Its trace manifest is the bundle's, so the runner prepacks
+    memoized traces, warm snapshots, longest memoized trace, memoized
+    traces holding warm sequences)`` there. The last count is taken
+    twice and summed: before the bundle, when the memo holds what the
+    prep jobs (trace packs and warm-snapshot computes) left, and at the
+    end. Profiling last, a window the pass left in the memo would still
+    be there. Its trace manifest is the bundle's, so the runner prepacks
     the traces and warm snapshots, as it does for a sweep."""
 
     profiled: str
@@ -425,10 +438,13 @@ class _MemoProbe:
         import repro.core.engine.warm as warm
         import repro.trace.stream as stream
 
+        holding = _traces_holding_warm_sequences(stream._CACHE.values())
         self.bundle.execute(cache)
         ProfileJob(self.profiled).execute()
+        holding += _traces_holding_warm_sequences(stream._CACHE.values())
         longest = max((t.length for t in stream._CACHE.values()), default=0)
-        return os.getpid(), len(stream._CACHE), len(warm._WARM_CACHE), longest
+        return (os.getpid(), len(stream._CACHE), len(warm._WARM_CACHE),
+                longest, holding)
 
     def trace_manifest(self):
         return self.bundle.trace_manifest()
@@ -438,7 +454,9 @@ def test_pool_workers_hold_bounded_memos():
     """A worker holds one workload at a time: after a bundle over three
     workloads at two trace lengths (24 traces, 6 warm sets) and a
     profile pass, each worker's trace and warm memos are within their
-    bounds and hold no profile window."""
+    bounds and hold no profile window. No memoized trace keeps the
+    warm-up sequences of a warm pass, after the prep jobs or after the
+    bundle."""
     import repro.core.engine.warm as warm
     import repro.trace.stream as stream
 
@@ -454,10 +472,11 @@ def test_pool_workers_hold_bounded_memos():
     with BatchRunner(workers=2) as runner:
         results = runner.run(probes)
     assert all(pid != os.getpid() for pid, *_ in results)
-    for _, traces, snapshots, longest in results:
+    for _, traces, snapshots, longest, holding in results:
         assert 0 < traces <= stream._CACHE_MAX
         assert 0 < snapshots <= warm._WARM_CACHE_MAX
         assert longest < PROFILE_LENGTH
+        assert holding == 0
 
 
 # ------------------------------------------------------------------ RunReport

@@ -11,10 +11,12 @@ from array import array
 import pytest
 
 from repro.core.config import get_config
-from repro.core.engine import Processor
+from repro.core.engine import Processor, clear_warm_cache, ensure_warm_snapshot
+from repro.core.engine import warm as warm_mod
 from repro.core.simulation import run_simulation
 from repro.isa.opcodes import OP_BRANCH, OP_CALL, OP_LOAD, OP_RETURN, OP_STORE
-from repro.trace.benchmarks import BENCHMARK_NAMES, get_benchmark
+from repro.memory.hierarchy import MemoryParams
+from repro.trace.benchmarks import BENCHMARK_NAMES, BenchmarkProfile, get_benchmark
 from repro.trace.composite import composite_trace
 from repro.trace.packed import (
     PACK_FORMAT_VERSION,
@@ -200,21 +202,44 @@ def test_trace_for_serves_from_store_exactly(tmp_path, generated_stream):
 # ------------------------------------------------------------- one backing
 
 
-def _held_tuple_lists(trace):
-    """Names of the trace's attributes holding a flat list of entry
-    tuples (the decoded fetch-block tables hold lists of blocks)."""
-    return [
-        slot for slot in type(trace).__slots__
-        if isinstance(getattr(trace, slot, None), list)
-        and isinstance(getattr(trace, slot)[0], tuple)
-    ]
+#: Everything a Trace may hold: its identity, its PackedTrace and the
+#: two block tables of its fetch view (``None`` until fetch asks).
+_TRACE_STATE = {
+    "name": str,
+    "profile": BenchmarkProfile,
+    "length": int,
+    "junk_length": int,
+    "key": (tuple, type(None)),
+    "packed": PackedTrace,
+    "_entry_blocks": (list, type(None)),
+    "_junk_blocks": (list, type(None)),
+}
+
+
+def _assert_holds_only_packed_state(trace):
+    """``trace`` holds its identity, its PackedTrace and its two fetch
+    block tables, whose slots are ``None`` or one decoded block of
+    entry tuples; no tuple list and no warm-up sequences."""
+    assert not hasattr(trace, "__dict__")
+    held = {
+        slot: getattr(trace, slot)
+        for slot in type(trace).__slots__
+        if hasattr(trace, slot)
+    }
+    assert set(held) == set(_TRACE_STATE)
+    for slot, kind in _TRACE_STATE.items():
+        assert isinstance(held[slot], kind), slot
+    for table in (held["_entry_blocks"] or [], held["_junk_blocks"] or []):
+        for blk in table:
+            assert blk is None or (
+                0 < len(blk) <= FETCH_BLOCK and isinstance(blk[0], tuple)
+            )
 
 
 def _assert_one_backing(trace, entries, junk):
     """``trace`` holds its stream only as its PackedTrace, and every
     view of it equals a walk of the generator's own tuples."""
-    assert isinstance(trace.packed, PackedTrace)
-    assert _held_tuple_lists(trace) == []
+    _assert_holds_only_packed_state(trace)
     eblocks, jblocks = trace.fetch_view()
     assert any(eblocks), "the run fetched no block"
     for b, blk in enumerate(eblocks):
@@ -227,28 +252,49 @@ def _assert_one_backing(trace, entries, junk):
     assert [trace.next_pc(i) for i in range(n)] == [
         entries[(i + 1) % n][6] for i in range(n)
     ]
-    assert trace.warm_sequences() == _walk_warm_sequences(entries, junk)
+    assert warm_sequences(trace.packed) == _walk_warm_sequences(entries, junk)
+    _assert_holds_only_packed_state(trace)
+
+
+def _warm_miss_run(target):
+    """An 8,000-commit M8 run of gzip+mcf that warms its structures
+    from the traces rather than restoring a memoized snapshot."""
+    clear_warm_cache()
+    run_simulation("M8", ("gzip", "mcf"), (0, 0), target)
+    assert len(warm_mod._WARM_CACHE) == 1  # the snapshot it computed
 
 
 def test_every_trace_holds_only_its_packed_columns(tmp_path, generated_stream):
-    """After an 8,000-commit run, a generated, a store-served and a
-    composite trace each hold their stream only as packed columns."""
+    """After an 8,000-commit run that warmed from the traces, a
+    generated, a store-served and a composite trace each hold their
+    stream only as packed columns: no tuple list, and no warm-up
+    sequences once the warm pass is done. So does a store-served trace
+    set the runner's snapshot precompute warmed."""
     target = 8000
     entries, junk = generated_stream("gzip", target)
+    clear_trace_cache()
 
-    set_trace_store(tmp_path, save_on_generate=True)
-    run_simulation("M8", ("gzip", "mcf"), (0, 0), target)
+    set_trace_store(tmp_path / "traces", save_on_generate=True)
+    _warm_miss_run(target)
     generated = trace_for("gzip", target)
     assert isinstance(generated.packed.columns[0], array)
     _assert_one_backing(generated, entries, junk)
 
     clear_trace_cache()
-    store = set_trace_store(tmp_path, save_on_generate=False)
-    run_simulation("M8", ("gzip", "mcf"), (0, 0), target)
+    store = set_trace_store(tmp_path / "traces", save_on_generate=False)
+    _warm_miss_run(target)
     served = trace_for("gzip", target)
     assert store.hits == 2
     assert isinstance(served.packed.columns[0], memoryview)
     _assert_one_backing(served, entries, junk)
+
+    clear_trace_cache()
+    served_set = [trace_for("gzip", target), trace_for("mcf", target)]
+    assert store.hits == 4
+    assert ensure_warm_snapshot(str(tmp_path), MemoryParams(), served_set)
+    assert list(tmp_path.glob("*.warm"))
+    for trace in served_set:
+        _assert_holds_only_packed_state(trace)
 
     # composite_trace's phases: gzip's walk, then mcf's from its own
     # program region, each with half of the junk pool.

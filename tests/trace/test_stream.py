@@ -102,8 +102,8 @@ def test_store_served_fetch_view_never_materializes(trace_store,
 
 def test_saved_generated_trace_is_packed_once(trace_store, monkeypatch):
     """Generating under a saving store packs the trace once: the saved
-    packed form backs ``warm_sequences()`` instead of a second pack."""
-    from repro.trace.packed import PackedTrace
+    packed form backs the warm-up sequences instead of a second pack."""
+    from repro.trace.packed import PackedTrace, warm_sequences
 
     real = PackedTrace.from_entries.__func__
     calls = []
@@ -114,6 +114,6 @@ def test_saved_generated_trace_is_packed_once(trace_store, monkeypatch):
 
     monkeypatch.setattr(PackedTrace, "from_entries", classmethod(counting))
     t = trace_for("mcf", 4096)
-    t.warm_sequences()
+    warm_sequences(t.packed)
     assert calls == ["mcf"]
     assert trace_store.contains("mcf", 4096, 0, t.junk_length)
