@@ -69,6 +69,17 @@ def test_golden_equivalence_through_warm_store(tmp_path):
     assert second == reference
 
 
+def test_warm_snapshot_name_is_pinned():
+    """Snapshot names hash the memory parameters' key text with the trace
+    keys, so existing stores keep hitting only while these bytes hold."""
+    path = warm_snapshot_path(
+        "store", MemoryParams(), 2, (("gzip", 8000, 0), ("twolf", 8000, 0))
+    )
+    assert path == (
+        "store/798321d9ce3a32a3e7be482911a21712f8e97bf32c41acfdd6972cdb99890115.warm"
+    )
+
+
 def test_corrupted_warm_snapshot_recomputes(tmp_path):
     reference = _golden_run()
     clear_warm_cache()

@@ -9,11 +9,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import get_config
+from repro.memory.hierarchy import MemoryParams
 from repro.runner import BatchRunner, ResultCache, SimJob
 from repro.runner.screening import ScreenJob
 from repro.service.protocol import request_key
@@ -330,6 +332,37 @@ def test_cache_and_request_key_bytes_are_pinned():
         request_key("sweep", [by_name, by_config])
         == "aa0ccb6e000af26af1b42bea7e737c958580ef52c8145d1018b8c557f15835dc"
     )
+    # A job built with a config object keys on the object's key text, so
+    # every field of every config class (and each retired field's literal
+    # text) is in these digests: one per shape the ablation sweeps build.
+    base = get_config("2M4+2M2")
+    four = ("gzip", "twolf", "bzip2", "mcf")
+    rf3 = replace(
+        base, name="2M4+2M2[rf=3]", params=replace(base.params, reg_latency=3)
+    )
+    buf8 = replace(
+        base,
+        name="2M4+2M2[buf=8]",
+        pipelines=tuple(replace(p, fetch_buffer=8) for p in base.pipelines),
+    )
+    ways4 = replace(
+        base,
+        name="2M4+2M2[l1d_ways=4]",
+        params=replace(base.params, memory=MemoryParams(l1d_ways=4)),
+    )
+    m8_job = SimJob(get_config("M8"), four, (0, 0, 0, 0), 500)
+    rf3_job = SimJob(rf3, four, (0, 0, 1, 1), 500)
+    buf8_job = SimJob(buf8, four, (0, 0, 1, 1), 500)
+    ways4_job = SimJob(ways4, four, (0, 0, 1, 1), 500)
+    screen_job = ScreenJob(base, four, ((0, 0, 1, 1), (0, 1, 2, 3)), 400)
+    expected = {
+        m8_job: "0d938daf0097819460ce8051d5a5bd45cdc3de593ac452c6e01ae4e92d478a9a",
+        rf3_job: "77b4390ad1b43668e324d359a3c7c12d93a3337a590f92705871129a6d2dbd03",
+        buf8_job: "149f6e78279f19ef8665eba387e0bc42fcb552fc79f4663a3b549c906b8215f8",
+        ways4_job: "2b6e1c694078db830dd4de7213105b33eb73666c5d35d04ae2cfaa370aef3291",
+        screen_job: "229cba4e8eb0dba200420911c0f1f03f8eff7f5b52fffbeb8233438b6dca525b",
+    }
+    assert {job: ResultCache.job_key(job) for job in expected} == expected
 
 
 #: Per-(config, workload) job and request keys, recorded alongside the
