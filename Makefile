@@ -33,7 +33,10 @@
 # Local subsets of the tier-1 suite:
 #
 #   make cache-smoke  the result cache (sharded layout, corruption
-#                 fallback, stats/prune, key pins), the service's
+#                 fallback, stats/prune, key pins), the config key text
+#                 and its retired-field text, the pinned warm-snapshot
+#                 name, the knob-liveness walk (every config field moves
+#                 a simulated or area number), the service's
 #                 rendered-frame LRU, and the `repro cache` CLI verbs
 #   make serve-smoke  simulation service: boot a real `repro serve`
 #                 daemon, submit the reference sweep, assert the
@@ -63,6 +66,10 @@ serve-smoke:
 cache-smoke:
 	$(PYTHON) -m pytest -x -q \
 		tests/runner/test_result_cache.py \
+		tests/core/test_config.py::test_config_key_text_spells_out_every_field \
+		tests/memory/test_hierarchy.py::test_params_key_text_keeps_the_retired_banks \
+		tests/core/test_warm_store.py::test_warm_snapshot_name_is_pinned \
+		tests/core/test_knob_liveness.py \
 		tests/service/test_frame_cache.py \
 		tests/integration/test_cli.py::test_cache_stats_and_prune \
 		tests/integration/test_cli.py::test_cache_prune_bad_age_exits_2_and_deletes_nothing

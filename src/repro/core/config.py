@@ -20,7 +20,7 @@ monolithic or not, runs on the same engine stages.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.core.models import PipelineModel, get_model
@@ -31,6 +31,7 @@ __all__ = [
     "MicroarchConfig",
     "STANDARD_CONFIGS",
     "STANDARD_CONFIG_NAMES",
+    "config_key_text",
     "get_config",
     "parse_config_name",
 ]
@@ -38,7 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Shared (non-pipeline) parameters: Table 1 plus modeling conventions."""
+    """Shared (non-pipeline) parameters: Table 1 plus modeling conventions
+    (the paper's 8-stage front end is modelled by the two penalties)."""
 
     rob_entries: int = 256  #: per-thread reorder buffer (replicated)
     rename_registers: int = 256  #: shared physical rename registers
@@ -47,7 +49,6 @@ class BaselineParams:
     reg_latency: int = 1  #: register read/write latency (2 in hdSMT)
     branch_redirect_penalty: int = 6  #: mispredict resolve -> refetch bubble
     btb_miss_penalty: int = 2  #: taken prediction without a target
-    pipeline_depth: int = 8  #: front-end depth (documentation; penalties above)
     memory: MemoryParams = field(default_factory=MemoryParams)
 
     @property
@@ -84,10 +85,6 @@ class MicroarchConfig:
     def total_contexts(self) -> int:
         return sum(p.contexts for p in self.pipelines)
 
-    @property
-    def total_width(self) -> int:
-        return sum(p.width for p in self.pipelines)
-
     def contexts_for(self, num_threads: int) -> int:
         """Effective context capacity for a workload of ``num_threads``."""
         if self.allow_context_overcommit and self.is_monolithic:
@@ -108,6 +105,46 @@ class MicroarchConfig:
             f"{self.name}: {'+'.join(parts)}, fetch={self.fetch_policy}, "
             f"reg_latency={self.params.reg_latency}"
         )
+
+
+#: Key text of deleted fields, by (class, the field it followed): it
+#: keeps the bytes of every key that hashes :func:`config_key_text`.
+RETIRED_KEY_TEXT: Dict[Tuple[type, str], str] = {
+    (MemoryParams, "l1i_ways"): "l1i_banks=8",
+    (MemoryParams, "l1d_ways"): "l1d_banks=8",
+    (MemoryParams, "l2_ways"): "l2_banks=8",
+    (BaselineParams, "btb_miss_penalty"): "pipeline_depth=8",
+}
+
+
+def config_key_text(config: str | MicroarchConfig | MemoryParams) -> str:
+    """The text that identifies a configuration in result-cache keys,
+    request keys and warm-snapshot names.
+
+    A name comes back unchanged. An object (a config or a part of one) is
+    spelled out as ``Class(field=value, ...)``, recursing into parts and
+    tuples, leaf values by ``repr`` and each :data:`RETIRED_KEY_TEXT`
+    entry after the field it followed. So a new field changes every
+    object key, and a deleted one keeps its bytes through the table.
+    """
+    if isinstance(config, str):
+        return config
+    return _key_text(config)
+
+
+def _key_text(value) -> str:
+    if is_dataclass(value):
+        parts = []
+        for f in fields(value):
+            parts.append(f"{f.name}={_key_text(getattr(value, f.name))}")
+            retired = RETIRED_KEY_TEXT.get((type(value), f.name))
+            if retired is not None:
+                parts.append(retired)
+        return f"{type(value).__qualname__}({', '.join(parts)})"
+    if isinstance(value, tuple):
+        items = [_key_text(v) for v in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return repr(value)
 
 
 _NAME_TERM = re.compile(r"^(\d*)(M\d+)$")

@@ -22,13 +22,13 @@ state handoff between pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import MicroarchConfig, get_config
 from repro.core.mapping import heuristic_mapping
 from repro.core.engine import Processor
-from repro.core.simulation import SimResult, default_trace_length
-from repro.trace.stream import Trace, trace_for
+from repro.core.simulation import SimResult, default_trace_length, resolve_traces
+from repro.trace.stream import Trace
 
 __all__ = ["DynamicMappingResult", "run_dynamic", "remap_threads"]
 
@@ -96,13 +96,7 @@ def run_dynamic(
     if trace_length is None:
         trace_length = default_trace_length(commit_target)
     if traces is None:
-        built: List[Trace] = []
-        seen: Dict[str, int] = {}
-        for b in benchmarks:
-            inst = seen.get(b, 0)
-            seen[b] = inst + 1
-            built.append(trace_for(b, trace_length, instance=inst))
-        traces = built
+        traces = resolve_traces(benchmarks, trace_length)
     if initial_mapping is None:
         # Cold start: no profile yet — ties, so workload order decides.
         initial_mapping = heuristic_mapping(config, [0.0] * n)

@@ -30,6 +30,7 @@ from hashlib import sha256
 from typing import Optional
 
 from repro.branch.unit import BranchUnit
+from repro.core.config import config_key_text
 from repro.ioutil import atomic_write_bytes
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.packed import PACK_FORMAT_VERSION, warm_sequences
@@ -144,14 +145,10 @@ def warm_snapshot_path(
     directory: str, memory_params, num_threads: int, trace_keys
 ) -> str:
     """Deterministic snapshot file for one (params, trace set) identity."""
-    desc = repr(
-        (
-            _WARM_SNAPSHOT_VERSION,
-            PACK_FORMAT_VERSION,
-            memory_params,
-            num_threads,
-            tuple(trace_keys),
-        )
+    desc = (
+        f"({_WARM_SNAPSHOT_VERSION!r}, {PACK_FORMAT_VERSION!r}, "
+        f"{config_key_text(memory_params)}, {num_threads!r}, "
+        f"{tuple(trace_keys)!r})"
     )
     return os.path.join(directory, sha256(desc.encode()).hexdigest() + ".warm")
 

@@ -64,10 +64,6 @@ class PipelineModel:
     def total_queue_entries(self) -> int:
         return self.iq_entries + self.fq_entries + self.lq_entries
 
-    @property
-    def total_fu(self) -> int:
-        return self.int_units + self.fp_units + self.ldst_units
-
     def __str__(self) -> str:
         return self.name
 

@@ -33,7 +33,6 @@ from repro.core.mapping import (
     random_mapping,
     round_robin_mapping,
 )
-from repro.core.models import PipelineModel
 from repro.core.simulation import SimResult
 from repro.experiments.scale import ExperimentScale, default_scale
 from repro.metrics.tables import format_table
@@ -159,22 +158,7 @@ def ablation_fetch_buffer(
     mapping = _heur_map(base, w.benchmarks)
     variants = []
     for size in sizes:
-        pipes = tuple(
-            PipelineModel(
-                name=p.name,
-                contexts=p.contexts,
-                width=p.width,
-                threads_per_cycle=p.threads_per_cycle,
-                iq_entries=p.iq_entries,
-                fq_entries=p.fq_entries,
-                lq_entries=p.lq_entries,
-                int_units=p.int_units,
-                fp_units=p.fp_units,
-                ldst_units=p.ldst_units,
-                fetch_buffer=size,
-            )
-            for p in base.pipelines
-        )
+        pipes = tuple(replace(p, fetch_buffer=size) for p in base.pipelines)
         variants.append(
             replace(base, name=f"{config_name}[buf={size}]", pipelines=pipes)
         )

@@ -16,7 +16,7 @@ any load outstanding longer than that is assumed to have missed in L2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.tlb import TranslationBuffer
@@ -24,9 +24,11 @@ from repro.memory.tlb import TranslationBuffer
 __all__ = ["MemoryParams", "MemoryHierarchy"]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class MemoryParams:
-    """Every memory-system parameter from Table 1 (overridable for studies)."""
+    """Every memory-system parameter from Table 1 (overridable for studies)
+    but the 8 banks per cache: no bank conflict is modelled, and keys keep
+    their text through ``repro.core.config.RETIRED_KEY_TEXT``."""
 
     l1i_size: int = 64 * 1024
     l1i_ways: int = 2
@@ -48,19 +50,6 @@ class MemoryParams:
     def flush_threshold(self) -> int:
         """Cycles after which FLUSH declares an outstanding load an L2 miss."""
         return self.l1_latency + self.l2_latency
-
-    def __repr__(self) -> str:
-        # Result-cache keys of jobs that carry a config object, their
-        # request keys and warm-snapshot names all hash this text, so it
-        # keeps the paper's 8 banks after each cache's ways for those
-        # keys to keep their bytes. No bank count is a parameter: no
-        # bank conflict is modelled.
-        parts = []
-        for f in fields(self):
-            parts.append(f"{f.name}={getattr(self, f.name)!r}")
-            if f.name.endswith("_ways"):
-                parts.append(f"{f.name[:-4]}banks=8")
-        return f"MemoryParams({', '.join(parts)})"
 
 
 class MemoryHierarchy:

@@ -53,7 +53,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.config import MicroarchConfig
+from repro.core.config import MicroarchConfig, config_key_text
 from repro.core.simulation import (
     SimResult,
     default_trace_length,
@@ -160,15 +160,11 @@ class SimJob:
         )
 
     def cache_key_fields(self) -> dict:
-        """Content-hash fields for the on-disk result cache.
-
-        The field set (and therefore every existing cache key) is
-        byte-identical to the pre-protocol ``ResultCache`` legacy
-        hashing, so caches populated by earlier revisions keep hitting.
-        """
-        config = self.config if isinstance(self.config, str) else repr(self.config)
+        """Content-hash fields for the on-disk result cache. The config
+        keys on its :func:`~repro.core.config.config_key_text`, and the
+        bytes of every field are pinned, so existing caches keep hitting."""
         return {
-            "config": config,
+            "config": config_key_text(self.config),
             "benchmarks": list(self.benchmarks),
             "mapping": list(self.mapping),
             "commit_target": self.commit_target,

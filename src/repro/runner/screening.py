@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import MicroarchConfig, get_config
+from repro.core.config import MicroarchConfig, config_key_text, get_config
 from repro.core.simulation import SimResult
 from repro.runner.jobs import TraceUnit
 
@@ -422,14 +422,13 @@ class ScreenJob:
 
     def cache_key_fields(self) -> dict:
         """Content-hash fields for the on-disk result cache."""
-        config = self.config if isinstance(self.config, str) else repr(self.config)
         return {
             "kind": "screen",
             # Ranking-semantics salt: marginal-IPC pruning rounds (this
             # PR) can keep different survivors than cumulative ranking
             # did, so cached results from either regime must not alias.
             "ranking": "marginal-v1",
-            "config": config,
+            "config": config_key_text(self.config),
             "benchmarks": list(self.benchmarks),
             "candidates": [list(m) for m in self.candidates],
             "final_target": self.final_target,

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import (
     STANDARD_CONFIG_NAMES,
     STANDARD_CONFIGS,
+    config_key_text,
     get_config,
     parse_config_name,
 )
@@ -65,10 +66,9 @@ def test_context_overcommit_only_for_monolithic_m8():
     assert hd.contexts_for(8) == 6
 
 
-def test_total_width_and_contexts():
+def test_total_contexts():
     cfg = get_config("1M6+2M4+2M2")
     assert cfg.total_contexts == 2 + 2 + 2 + 1 + 1
-    assert cfg.total_width == 6 + 4 + 4 + 2 + 2
 
 
 def test_pipeline_counts():
@@ -109,3 +109,24 @@ def test_standard_config_round_trips_its_name(name):
     reordered = "+".join(reversed(name.split("+")))
     assert parse_config_name(reordered) == cfg.pipelines
     assert all(f"{n}x{m}" in cfg.describe() for m, n in cfg.pipeline_counts().items())
+
+
+def test_config_key_text_spells_out_every_field():
+    """A name keys as itself. An object spells out every field; a
+    one-pipeline tuple keeps its ``(...,)`` form, and a retired field
+    keeps its literal text after the field it followed."""
+    assert config_key_text("2M4+2M2") == "2M4+2M2"
+    assert config_key_text(get_config("M8")) == (
+        "MicroarchConfig(name='M8', pipelines=(PipelineModel(name='M8', "
+        "contexts=4, width=8, threads_per_cycle=2, iq_entries=64, "
+        "fq_entries=64, lq_entries=64, int_units=6, fp_units=3, ldst_units=4, "
+        "fetch_buffer=16),), fetch_policy='flush', params=BaselineParams("
+        "rob_entries=256, rename_registers=256, fetch_width=8, fetch_threads=2, "
+        "reg_latency=1, branch_redirect_penalty=6, btb_miss_penalty=2, "
+        "pipeline_depth=8, memory=MemoryParams(l1i_size=65536, l1i_ways=2, "
+        "l1i_banks=8, l1d_size=65536, l1d_ways=2, l1d_banks=8, l2_size=524288, "
+        "l2_ways=2, l2_banks=8, line_bytes=64, l1_latency=3, "
+        "l1_miss_penalty=22, l2_latency=12, memory_latency=250, "
+        "itlb_entries=48, dtlb_entries=128, tlb_miss_penalty=300, "
+        "page_bytes=8192)), allow_context_overcommit=True)"
+    )

@@ -6,6 +6,7 @@ caches' and TLBs' counters.
 
 import pytest
 
+from repro.core.config import config_key_text
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
 
 
@@ -133,11 +134,11 @@ def test_dcache_misses_per_thread(mem):
     assert mem.dcache_misses(0) == 0
 
 
-def test_params_repr_keeps_the_key_text():
-    """Keys hash ``repr`` of a config object, so the text keeps the
-    paper's 8 banks after each cache's ways although no bank count is
-    a parameter, and it shows every field's value."""
-    assert repr(MemoryParams()) == (
+def test_params_key_text_keeps_the_retired_banks():
+    """Keys hash a config object's key text, which keeps the paper's 8
+    banks after each cache's ways although no bank count is a
+    parameter, and it shows every field's value."""
+    assert config_key_text(MemoryParams()) == (
         "MemoryParams(l1i_size=65536, l1i_ways=2, l1i_banks=8, "
         "l1d_size=65536, l1d_ways=2, l1d_banks=8, l2_size=524288, "
         "l2_ways=2, l2_banks=8, line_bytes=64, l1_latency=3, "
@@ -145,6 +146,6 @@ def test_params_repr_keeps_the_key_text():
         "itlb_entries=48, dtlb_entries=128, tlb_miss_penalty=300, "
         "page_bytes=8192)"
     )
-    assert "l1d_ways=4, l1d_banks=8," in repr(MemoryParams(l1d_ways=4))
+    assert "l1d_ways=4, l1d_banks=8," in config_key_text(MemoryParams(l1d_ways=4))
     with pytest.raises(TypeError):
         MemoryParams(l1i_banks=8)
