@@ -38,6 +38,12 @@
 #                 name, the knob-liveness walk (every config field moves
 #                 a simulated or area number), the service's
 #                 rendered-frame LRU, and the `repro cache` CLI verbs
+#   make trace-smoke  trace generation and packing: the literal pins
+#                 of generated trace bytes and profile counts, the
+#                 chunked-generation equivalence and memory-bound tests
+#                 (a trace is packed as its walker emits it; the profile
+#                 pass keeps only load/store addresses), the one-pack
+#                 check, and the packed round-trip properties
 #   make serve-smoke  simulation service: boot a real `repro serve`
 #                 daemon, submit the reference sweep, assert the
 #                 response byte-identical to the local execution path,
@@ -51,7 +57,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test cov bench figures ci lint perfbench chaos serve-smoke \
-	cache-smoke
+	cache-smoke trace-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +65,13 @@ test:
 chaos:
 	REPRO_WORKERS=2 $(PYTHON) -m pytest -x -q \
 		tests/runner/test_faults.py tests/runner/test_resilience.py
+
+trace-smoke:
+	$(PYTHON) -m pytest -x -q \
+		tests/trace/test_generation_pins.py \
+		tests/trace/test_streamed_generation.py \
+		tests/trace/test_stream.py::test_saved_generated_trace_is_packed_once \
+		tests/properties/test_packed_roundtrip_properties.py
 
 serve-smoke:
 	$(PYTHON) -m pytest -x -q tests/service/test_serve_smoke.py

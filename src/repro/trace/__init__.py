@@ -21,7 +21,7 @@ from repro.trace.benchmarks import (
     MEM_BENCHMARKS,
     get_benchmark,
 )
-from repro.trace.synthetic import StaticProgram, TraceGenerator, generate_trace
+from repro.trace.synthetic import StaticProgram, TraceGenerator
 from repro.trace.packed import (
     PACK_FORMAT_VERSION,
     PackedTrace,
@@ -38,7 +38,7 @@ from repro.trace.stream import (
     set_trace_store,
     active_trace_store,
 )
-from repro.trace.profiling import DCacheProfile, profile_benchmark, profile_workload
+from repro.trace.profiling import DCacheProfile, profile_benchmark
 from repro.trace.composite import composite_trace
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "get_benchmark",
     "StaticProgram",
     "TraceGenerator",
-    "generate_trace",
     "PACK_FORMAT_VERSION",
     "PackedTrace",
     "PackedTraceStore",
@@ -66,5 +65,4 @@ __all__ = [
     "DCacheProfile",
     "composite_trace",
     "profile_benchmark",
-    "profile_workload",
 ]

@@ -60,11 +60,26 @@ _MAGIC = b"RPKTRC01"
 _ITEM = 8  # bytes per column element (int64)
 
 
+def empty_columns() -> Tuple[array, ...]:
+    """Seven empty int64 columns, to fill with :func:`extend_columns`."""
+    return tuple(array("q") for _ in range(NUM_COLUMNS))
+
+
+def extend_columns(columns: Tuple[array, ...],
+                   entries: Sequence[TraceEntry]) -> None:
+    """Append ``entries`` to ``columns``: one C-speed transpose, exact
+    and order-preserving. A generated trace is packed this way chunk by
+    chunk as its walker emits it."""
+    for col, values in zip(columns, zip(*entries)):
+        col.extend(values)
+
+
 def _columns_from_entries(entries: Sequence[TraceEntry]) -> Tuple[array, ...]:
-    """Transpose tuples into int64 columns (exact, order-preserving);
-    no entries give seven empty columns."""
-    cols = tuple(zip(*entries)) or ((),) * NUM_COLUMNS
-    return tuple(array("q", col) for col in cols)
+    """Transpose tuples into int64 columns; no entries give seven empty
+    columns."""
+    cols = empty_columns()
+    extend_columns(cols, entries)
+    return cols
 
 
 class PackedTrace:

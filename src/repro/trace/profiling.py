@@ -5,8 +5,10 @@ threads are arranged by the number of data cache misses and assigned to
 the pipelines." This module is that profile pass — each benchmark's trace
 is run alone through the L1D/L2 of the baseline memory hierarchy and its
 data-cache misses counted. Results are memoized per (benchmark, length);
-the profile window itself is not: it is read once, through
-:func:`~repro.trace.stream.transient_trace`, and freed with the pass.
+the profile window itself is not even built: the pass streams it from
+its walker in chunks and keeps only the op and address of each load and
+store (:func:`_data_accesses`), about a tenth of the window's packed
+columns, freed with the pass.
 
 :class:`ProfileJob` is one profile pass as a runner job, and
 :func:`ensure_profiles` memoizes a whole set of them computed as one
@@ -16,18 +18,18 @@ pool instead of serially in the parent.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, Iterable, List, Sequence, Tuple
 
 from repro.isa.opcodes import OP_LOAD, OP_STORE
 from repro.memory.hierarchy import MemoryHierarchy, MemoryParams
-from repro.trace.stream import transient_trace
+from repro.trace.stream import trace_generator
 
 __all__ = [
     "DCacheProfile",
     "ProfileJob",
     "profile_benchmark",
-    "profile_workload",
     "ensure_profiles",
     "clear_profile_cache",
 ]
@@ -65,27 +67,21 @@ def profile_benchmark(
 ) -> DCacheProfile:
     """Run one benchmark's trace alone through the data-side hierarchy.
 
-    The trace is streamed through once as cache warm-up and counted on a
-    second pass — the paper's profiles are steady-state rates over 300M
-    instructions, so the cold-start transient of our short windows must
-    not contaminate the sort key.
+    The loads and stores are streamed through the L1D once as cache
+    warm-up and counted on a second pass — the paper's profiles are
+    steady-state rates over 300M instructions, so the cold-start
+    transient of our short windows must not contaminate the sort key.
 
-    The window is read through :func:`~repro.trace.stream.
-    transient_trace`, so it stays out of the process trace memo: no
-    simulation shares it, and a pool worker would otherwise keep every
-    window it profiled.
+    The window is the one ``trace_for(name, length)`` holds, but no
+    Trace is built: :func:`_data_accesses` streams it from its walker
+    and keeps only what the pass reads.
     """
     key = (name, length)
     if params is None and key in _CACHE:
         return _CACHE[key]
-    trace = transient_trace(name, length)
-    columns = trace.packed.columns
-    ops, addrs = columns[0], columns[4]
+    ops, addrs = _data_accesses(name, length)
     mem = MemoryHierarchy(params, max_threads=1)
-    # Warm-up pass.
-    for op, addr in zip(ops, addrs):
-        if op == OP_LOAD or op == OP_STORE:
-            mem.l1d.access(addr, 0)
+    mem.l1d.access_many(addrs, 0)  # warm-up pass
     l1_before = mem.l1d.stats.misses
     l2_before = mem.l2.stats.misses
     acc_before = mem.l1d.stats.accesses
@@ -93,11 +89,11 @@ def profile_benchmark(
     for op, addr in zip(ops, addrs):
         if op == OP_LOAD:
             mem.load_latency(addr, 0)
-        elif op == OP_STORE:
+        else:
             mem.retire_store(addr, 0)
     prof = DCacheProfile(
         benchmark=name,
-        instructions=trace.length,
+        instructions=length,
         accesses=mem.l1d.stats.accesses - acc_before,
         l1d_misses=mem.l1d.stats.misses - l1_before,
         l2_misses=mem.l2.stats.misses - l2_before,
@@ -107,11 +103,29 @@ def profile_benchmark(
     return prof
 
 
-def profile_workload(
-    benchmarks: List[str], length: int = PROFILE_LENGTH
-) -> List[DCacheProfile]:
-    """Profiles for every thread of a workload, in workload order."""
-    return [profile_benchmark(b, length) for b in benchmarks]
+def _data_accesses(name: str, length: int) -> Tuple[array, array]:
+    """``(ops, addrs)``: the op and address of every load and store in
+    the window ``trace_for(name, length)`` holds, in program order.
+
+    The window is streamed chunk by chunk from the walker
+    (:func:`~repro.trace.stream.trace_generator`) and each chunk is
+    dropped once its loads and stores are copied out, so at most one
+    chunk of tuples is alive at a time and nothing else of the window
+    is kept.
+    """
+    ops = array("q")
+    addrs = array("q")
+    keep_op = ops.append
+    keep_addr = addrs.append
+
+    def keep(chunk) -> None:
+        for op, _dest, _src1, _src2, addr, _taken, _pc in chunk:
+            if op == OP_LOAD or op == OP_STORE:
+                keep_op(op)
+                keep_addr(addr)
+
+    trace_generator(name).generate(length, keep)
+    return ops, addrs
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,18 @@ traces): a process keeps the traces of the workload it is simulating,
 not of every workload it has touched, and a trace it needs again after
 eviction comes back from the active store (an mmap) or, without one, is
 generated again. :func:`transient_trace` serves one-pass readers such as
-the profile pass without entering the memo at all.
+the runner's trace-packing prep jobs without entering the memo at all,
+and :func:`trace_generator` is the walker behind every window, for
+readers (the profile pass) that stream one without building a Trace.
 
 A :class:`Trace` holds its stream in one form: the packed int64 columns
-of a :class:`~repro.trace.packed.PackedTrace`. A generated (or
-composite, or hand-built) stream is packed once when its Trace is
-built; the tuple lists are not kept. The only other state a Trace
-carries is the fetch view's decoded blocks (below). The warm pass
+of a :class:`~repro.trace.packed.PackedTrace`. A generated stream is
+packed chunk by chunk as the walker emits it
+(:meth:`~repro.trace.synthetic.TraceGenerator.generate` with a sink),
+so no process ever holds a whole window as tuples; a composite or
+hand-built tuple list is packed once when its Trace is built and not
+kept. The only other state a Trace carries is the fetch view's decoded
+blocks (below). The warm pass
 derives its access sequences from the columns
 (:func:`~repro.trace.packed.warm_sequences`) each time it streams a
 trace and drops them afterwards: the post-warm state is memoized as a
@@ -48,11 +53,17 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import TraceEntry
 from repro.trace.benchmarks import BenchmarkProfile, get_benchmark
-from repro.trace.packed import PackedTrace, PackedTraceStore
+from repro.trace.packed import (
+    PackedTrace,
+    PackedTraceStore,
+    empty_columns,
+    extend_columns,
+)
 from repro.trace.synthetic import StaticProgram, TraceGenerator
 
 __all__ = [
@@ -62,6 +73,7 @@ __all__ = [
     "Trace",
     "trace_for",
     "transient_trace",
+    "trace_generator",
     "clear_trace_cache",
     "set_trace_store",
     "active_trace_store",
@@ -91,10 +103,11 @@ def _transpose_block(c, lo: int, hi: int) -> List[TraceEntry]:
 class Trace:
     """An immutable dynamic instruction stream for one thread.
 
-    Backed by one :class:`~repro.trace.packed.PackedTrace`: tuple lists
-    (generated, composite or hand-built streams) are packed once at
-    construction; store-served traces pass their mmap-backed columns as
-    ``packed=``. Every read goes through the columns. Besides its
+    Backed by one :class:`~repro.trace.packed.PackedTrace`: generated
+    traces pass the columns their walker was packed into, and
+    store-served ones their mmap-backed columns, as ``packed=``; tuple
+    lists (composite or hand-built streams) are packed once at
+    construction. Every read goes through the columns. Besides its
     identity and the columns, a Trace holds only the two block tables
     of its fetch view; it keeps no warm-up sequences.
     """
@@ -241,13 +254,23 @@ def transient_trace(name: str, length: int, instance: int = 0) -> Trace:
     The memo's trace when it holds one; otherwise one loaded from the
     active store or generated (and not saved) for this caller alone, so
     it is freed with the caller's last reference. For one-pass readers
-    whose window no simulation shares, such as the profile pass.
+    such as the runner's trace-packing prep jobs.
     """
     key = (name, length, instance)
     trace = _CACHE.get(key)
     if trace is None:
         trace = _build_trace(key, save=False)
     return trace
+
+
+def trace_generator(name: str, instance: int = 0) -> TraceGenerator:
+    """The walker whose stream :func:`trace_for` serves for ``(name,
+    length, instance)``: the benchmark's program drawn at seed 0, walked
+    at seed ``instance``. Every ``length`` is a prefix of one stream.
+    The one place that seed namespace is spelled out, for trace builds
+    and for readers that stream a window without building a Trace."""
+    return TraceGenerator(StaticProgram(get_benchmark(name), seed=0),
+                          seed=instance)
 
 
 def _build_trace(key: Tuple[str, int, int], save: bool) -> Trace:
@@ -263,11 +286,14 @@ def _build_trace(key: Tuple[str, int, int], save: bool) -> Trace:
     )
     if packed is not None:
         return Trace(name, profile, packed=packed, key=key)
-    program = StaticProgram(profile, seed=0)
-    gen = TraceGenerator(program, seed=instance)
-    entries = gen.generate(length)
-    junk = gen.generate_junk(_JUNK_LEN)
-    trace = Trace(name, profile, entries, junk, key=key)
+    # Pack the window chunk by chunk as the walker emits it: no list of
+    # the whole window's tuples is ever built.
+    gen = trace_generator(name, instance)
+    columns, junk_columns = empty_columns(), empty_columns()
+    gen.generate(length, partial(extend_columns, columns))
+    extend_columns(junk_columns, gen.generate_junk(_JUNK_LEN))
+    packed = PackedTrace(name, columns, junk_columns)
+    trace = Trace(name, profile, packed=packed, key=key)
     if save and store is not None and store.save_on_generate:
         store.save(trace.packed, name, length, instance)
     return trace

@@ -17,7 +17,8 @@ Two layers:
   steady-state mispredict rate.
 
 * :class:`TraceGenerator` — walks the CFG emitting packed
-  :data:`~repro.isa.instruction.TraceEntry` tuples: per-instruction
+  :data:`~repro.isa.instruction.TraceEntry` tuples, as one list or in
+  chunks of about :data:`SINK_CHUNK` handed to a sink: per-instruction
   register operands with a geometric dependency-distance distribution
   (the ILP knob), and a data-address stream mixing sequential streams, a
   hot reuse region and clustered cold-region accesses (the memory knob,
@@ -29,7 +30,7 @@ Everything is deterministic given ``(profile, seed)``.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.isa.instruction import TraceEntry
 from repro.isa.opcodes import (
@@ -45,7 +46,7 @@ from repro.isa.opcodes import (
 from repro.isa.registers import NUM_INT_REGS, REG_NONE, fp_reg
 from repro.trace.benchmarks import BenchmarkProfile
 
-__all__ = ["StaticProgram", "TraceGenerator", "generate_trace"]
+__all__ = ["SINK_CHUNK", "StaticProgram", "TraceGenerator"]
 
 # Terminator kinds.
 TERM_BRANCH = 0
@@ -60,6 +61,9 @@ KIND_BIASED = 2
 CODE_BASE = 0x0040_0000  #: code segment base address
 DATA_BASE = 0x1000_0000  #: data segment base address
 _MAX_CALL_DEPTH = 64
+#: Entries a :meth:`TraceGenerator.generate` sink receives at a time (at
+#: least; a chunk ends at a block boundary): the fetch view's block size.
+SINK_CHUNK = 1024
 
 
 class StaticProgram:
@@ -395,17 +399,30 @@ class TraceGenerator:
 
     # ------------------------------------------------------------------ main
 
-    def generate(self, n: int) -> List[TraceEntry]:
-        """Emit ``n`` dynamic instructions (packed tuples)."""
+    def generate(
+        self, n: int, sink: Optional[Callable[[List[TraceEntry]], None]] = None
+    ) -> Optional[List[TraceEntry]]:
+        """Emit ``n`` dynamic instructions (packed tuples).
+
+        Without a ``sink``, returns them as one list. With one, hands
+        them over in chunks instead and returns ``None``: ``sink(chunk)``
+        runs each time at least :data:`SINK_CHUNK` entries have built up
+        at a block boundary, and once more for the rest, so no caller
+        ever holds the whole window as tuples. A chunk list belongs to
+        the sink once passed. The RNG is drawn identically either way:
+        the walk finishes the block that crosses ``n`` and drops the
+        overshoot, so the state (and any junk drawn next) is the same.
+        """
         out: List[TraceEntry] = []
         append = out.append
+        remaining = n  # entries still owed, counting those in ``out``
         prog = self.program
         p = self.profile
         rng = self.rng
         mix = self._mix_cum
         two_src = p.two_src_frac
         chain = p.chain_frac
-        while len(out) < n:
+        while len(out) < remaining:
             b = self._cur_block
             pc = prog.block_pc[b]
             size = prog.block_size[b]
@@ -482,8 +499,17 @@ class TraceGenerator:
                     else:
                         self._cur_block = (b + 1) % prog.num_blocks
             self._phase_budget -= size
-        del out[n:]
-        return out
+            if sink is not None and SINK_CHUNK <= len(out) < remaining:
+                sink(out)
+                remaining -= len(out)
+                out = []
+                append = out.append
+        del out[remaining:]
+        if sink is None:
+            return out
+        if out:
+            sink(out)
+        return None
 
     def generate_junk(self, n: int) -> List[TraceEntry]:
         """Wrong-path filler instructions (no control transfers).
@@ -508,10 +534,3 @@ class TraceGenerator:
                 append((OP_INT, dest, src1, REG_NONE, 0, 0, ipc))
         return out
 
-
-def generate_trace(
-    profile: BenchmarkProfile, n: int, seed: int = 0, program_seed: int = 0
-) -> List[TraceEntry]:
-    """Convenience: build program + walker and emit ``n`` instructions."""
-    program = StaticProgram(profile, program_seed)
-    return TraceGenerator(program, seed).generate(n)

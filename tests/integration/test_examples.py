@@ -47,3 +47,4 @@ def test_workload_characterization():
     out = run_example("workload_characterization.py", "--target", "800")
     assert "mcf" in out and "eon" in out
     assert "MPKI" in out
+    assert "Trace health" in out and "M8 L1I miss" in out

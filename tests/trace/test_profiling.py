@@ -10,7 +10,6 @@ from repro.trace.profiling import (
     DCacheProfile,
     clear_profile_cache,
     profile_benchmark,
-    profile_workload,
 )
 
 
@@ -83,7 +82,3 @@ def test_profile_fields_consistent():
     assert p.l2_misses <= p.l1d_misses
     assert p.l1d_miss_rate == pytest.approx(p.l1d_misses / p.accesses)
 
-
-def test_profile_workload_order():
-    profs = profile_workload(["eon", "mcf"], 4000)
-    assert [p.benchmark for p in profs] == ["eon", "mcf"]

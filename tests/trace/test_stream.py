@@ -101,19 +101,28 @@ def test_store_served_fetch_view_never_materializes(trace_store,
 
 
 def test_saved_generated_trace_is_packed_once(trace_store, monkeypatch):
-    """Generating under a saving store packs the trace once: the saved
-    packed form backs the warm-up sequences instead of a second pack."""
-    from repro.trace.packed import PackedTrace, warm_sequences
+    """Generating under a saving store packs the trace straight into its
+    columns, chunk by chunk as the walker emits it: no tuple list is
+    ever handed to ``PackedTrace.from_entries``, and the one packed form
+    is saved once and backs the warm-up sequences."""
+    from repro.trace.packed import PackedTrace, PackedTraceStore, warm_sequences
 
-    real = PackedTrace.from_entries.__func__
-    calls = []
+    packs = []
+    saves = []
+    real_save = PackedTraceStore.save
 
-    def counting(cls, *args, **kwargs):
-        calls.append(args[0])
-        return real(cls, *args, **kwargs)
+    def counting_pack(cls, *args, **kwargs):  # pragma: no cover - must not run
+        packs.append(args[0])
+        raise AssertionError("a generated trace went through from_entries")
 
-    monkeypatch.setattr(PackedTrace, "from_entries", classmethod(counting))
+    def counting_save(self, packed, *args):
+        saves.append(packed)
+        return real_save(self, packed, *args)
+
+    monkeypatch.setattr(PackedTrace, "from_entries", classmethod(counting_pack))
+    monkeypatch.setattr(PackedTraceStore, "save", counting_save)
     t = trace_for("mcf", 4096)
     warm_sequences(t.packed)
-    assert calls == ["mcf"]
+    assert packs == []
+    assert saves == [t.packed]
     assert trace_store.contains("mcf", 4096, 0, t.junk_length)

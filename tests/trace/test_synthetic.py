@@ -21,8 +21,13 @@ from repro.trace.synthetic import (
     TERM_CALL,
     TERM_RET,
     TraceGenerator,
-    generate_trace,
 )
+
+
+def _generate(name, n, seed=0):
+    """``n`` entries walked from ``name``'s program at seed 0."""
+    program = StaticProgram(get_benchmark(name), 0)
+    return TraceGenerator(program, seed).generate(n)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +73,8 @@ def test_call_targets_are_function_entries(gzip_prog):
 
 
 def test_trace_deterministic():
-    t1 = generate_trace(get_benchmark("eon"), 2000, seed=3)
-    t2 = generate_trace(get_benchmark("eon"), 2000, seed=3)
+    t1 = _generate("eon", 2000, seed=3)
+    t2 = _generate("eon", 2000, seed=3)
     assert t1 == t2
 
 
@@ -132,7 +137,7 @@ def test_loads_have_addresses_and_dest(gzip_trace):
 
 
 def test_mul_fp_present_when_profiled():
-    t = generate_trace(get_benchmark("eon"), 10_000)
+    t = _generate("eon", 10_000)
     counts = Counter(e[0] for e in t)
     assert counts[OP_FP] > 0
     assert counts[OP_MUL] > 0
@@ -163,7 +168,7 @@ def test_every_benchmark_trace_tracks_its_profile(name):
     from repro.trace.synthetic import DATA_BASE
 
     prof = get_benchmark(name)
-    trace = generate_trace(prof, 12_000)
+    trace = _generate(name, 12_000)
     n = len(trace)
     counts = Counter(e[0] for e in trace)
     branch = counts[OP_BRANCH] + counts[OP_CALL] + counts[OP_RETURN]
