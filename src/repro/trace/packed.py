@@ -46,6 +46,8 @@ __all__ = [
     "PackedTrace",
     "PackedTraceStore",
     "WarmSequences",
+    "empty_columns",
+    "extend_columns",
     "warm_sequences",
 ]
 
@@ -72,14 +74,6 @@ def extend_columns(columns: Tuple[array, ...],
     chunk as its walker emits it."""
     for col, values in zip(columns, zip(*entries)):
         col.extend(values)
-
-
-def _columns_from_entries(entries: Sequence[TraceEntry]) -> Tuple[array, ...]:
-    """Transpose tuples into int64 columns; no entries give seven empty
-    columns."""
-    cols = empty_columns()
-    extend_columns(cols, entries)
-    return cols
 
 
 class PackedTrace:
@@ -122,7 +116,10 @@ class PackedTrace:
         entries: Sequence[TraceEntry],
         junk: Sequence[TraceEntry],
     ) -> "PackedTrace":
-        return cls(name, _columns_from_entries(entries), _columns_from_entries(junk))
+        columns, junk_columns = empty_columns(), empty_columns()
+        extend_columns(columns, entries)
+        extend_columns(junk_columns, junk)
+        return cls(name, columns, junk_columns)
 
     @classmethod
     def from_trace(cls, trace) -> "PackedTrace":

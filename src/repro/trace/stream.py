@@ -293,10 +293,9 @@ def _build_trace(key: Tuple[str, int, int], save: bool) -> Trace:
     gen.generate(length, partial(extend_columns, columns))
     extend_columns(junk_columns, gen.generate_junk(_JUNK_LEN))
     packed = PackedTrace(name, columns, junk_columns)
-    trace = Trace(name, profile, packed=packed, key=key)
     if save and store is not None and store.save_on_generate:
-        store.save(trace.packed, name, length, instance)
-    return trace
+        store.save(packed, name, length, instance)
+    return Trace(name, profile, packed=packed, key=key)
 
 
 def clear_trace_cache() -> None:
